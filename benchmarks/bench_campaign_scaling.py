@@ -10,6 +10,8 @@ energy simulator) three ways and checks the engine's contracts:
   *pay for itself*: ``speedup > 1`` is enforced whenever the machine
   has at least ``PARALLEL_JOBS`` cores, with a near-linear floor on
   top; on smaller hosts the measurement is reported for tracking.
+  Speedups compare the medians of ``REPEATS`` serial and parallel runs
+  taken in alternating order, so neither side owns the cold start.
   The executor overhead fraction (queue-wait + dispatch + transfer as
   a share of task wall time, from the run telemetry) is reported and
   recorded alongside the speedup so regressions show up as a number,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from typing import List, Optional, Tuple
@@ -45,6 +48,8 @@ WRITEBACKS = 100
 ROWS = 96
 NUM_COSETS = 256
 PARALLEL_JOBS = 4
+#: Alternating serial/parallel pairs per measurement (medians reported).
+REPEATS = 3
 
 #: Speedup floors by available core count; the multi-core floor is
 #: intentionally below linear to absorb pool startup and scheduler
@@ -67,21 +72,48 @@ def _sweep_tasks() -> List[Task]:
     )
 
 
-def measure() -> Tuple[float, float, List[dict], List[dict], Optional[CampaignTelemetry]]:
-    """Time the sweep at jobs=1 and jobs=PARALLEL_JOBS (no store).
+def _timed_run(tasks: List[Task], jobs: int) -> Tuple[float, List[dict]]:
+    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    result = run_campaign(tasks, jobs=jobs)
+    elapsed = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
+    return elapsed, result.rows()
 
-    Returns the serial and parallel wall times, both row lists, and the
-    parallel run's :class:`CampaignTelemetry` (per-phase executor
-    breakdown at batch granularity).
+
+def measure() -> Tuple[float, float, List[dict], List[dict], Optional[CampaignTelemetry]]:
+    """Median wall times of the sweep at jobs=1 and jobs=PARALLEL_JOBS (no store).
+
+    ``REPEATS`` serial/parallel pairs run in alternating order (serial
+    first, then parallel first, ...).  Forked workers inherit whatever the
+    coordinator has warmed, so timing serial once and then parallel once
+    credits the pool with the serial run's cold start; alternating the
+    order and taking medians lets neither side own the cold run.
+
+    Returns the median serial and parallel wall times, the rows of the
+    last serial and parallel runs (every run must match the first serial
+    run), and the :class:`CampaignTelemetry` of the median parallel run.
     """
     tasks = _sweep_tasks()
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
-    serial = run_campaign(tasks, jobs=1)
-    serial_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
-    start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
-    parallel = run_campaign(tasks, jobs=PARALLEL_JOBS)
-    parallel_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
-    return serial_s, parallel_s, serial.rows(), parallel.rows(), last_campaign_telemetry()
+    serial_times: List[float] = []
+    parallel_runs: List[Tuple[float, Optional[CampaignTelemetry]]] = []
+    reference: Optional[List[dict]] = None
+    serial_rows: List[dict] = []
+    parallel_rows: List[dict] = []
+    for repeat in range(REPEATS):
+        order = (1, PARALLEL_JOBS) if repeat % 2 == 0 else (PARALLEL_JOBS, 1)
+        for jobs in order:
+            elapsed, rows = _timed_run(tasks, jobs)
+            if reference is None:
+                reference = rows
+            assert rows == reference, f"jobs={jobs} rows differ between repeats"
+            if jobs == 1:
+                serial_times.append(elapsed)
+                serial_rows = rows
+            else:
+                parallel_runs.append((elapsed, last_campaign_telemetry()))
+                parallel_rows = rows
+    parallel_runs.sort(key=lambda run: run[0])
+    parallel_s, telemetry = parallel_runs[len(parallel_runs) // 2]
+    return statistics.median(serial_times), parallel_s, serial_rows, parallel_rows, telemetry
 
 
 def test_campaign_scaling_determinism_and_cache() -> None:
@@ -132,7 +164,8 @@ def main() -> None:
     tasks = _sweep_tasks()
     print(
         f"campaign scaling benchmark: {len(tasks)} tasks "
-        f"({len(BENCHMARKS)} benchmarks x 5 techniques, {WRITEBACKS} writebacks)"
+        f"({len(BENCHMARKS)} benchmarks x 5 techniques, {WRITEBACKS} writebacks), "
+        f"median of {REPEATS} alternating serial/parallel pairs"
     )
     serial_s, parallel_s, serial_rows, parallel_rows, telemetry = measure()
     identical = "bit-identical" if serial_rows == parallel_rows else "DIFFERENT (bug!)"
@@ -158,7 +191,7 @@ def main() -> None:
 
     write_bench_json(
         "campaign_scaling",
-        config={"tasks": len(tasks), "parallel_jobs": PARALLEL_JOBS},
+        config={"tasks": len(tasks), "parallel_jobs": PARALLEL_JOBS, "repeats": REPEATS},
         results={
             "serial_tasks_per_s": len(tasks) / serial_s,
             "parallel_tasks_per_s": len(tasks) / parallel_s,

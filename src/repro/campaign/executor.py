@@ -66,7 +66,8 @@ out over the pool.  The ``fork`` start method is preferred when the
 platform offers it (workers inherit already-registered task kinds);
 under ``spawn`` the workers re-import the builtin task modules via the
 pool initializer, so builtin kinds work everywhere and custom kinds need
-only live in an importable module.
+only live in an importable module.  Each worker's BLAS threads are
+capped at ``cpu_count // jobs`` (see :func:`_worker_init`).
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ from repro.campaign.spec import Task
 from repro.campaign.tasks import _ensure_builtins, run_task
 from repro.errors import ConfigurationError, ReproError, SimulationError, WorkerCrashError
 from repro.obs import metrics_snapshot, monotonic, reset_metrics
+from repro.utils.blas import blas_threads, limit_blas_threads
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -390,9 +392,23 @@ class SerialExecutor:
         return stats
 
 
-def _worker_init() -> None:
-    """Pool initializer: make the builtin task kinds resolvable."""
+def _blas_budget(jobs: int) -> int:
+    """BLAS threads each of ``jobs`` workers may run: its share of the cores."""
+    return max(1, (os.cpu_count() or 1) // jobs)
+
+
+def _worker_init(jobs: int) -> None:
+    """Pool initializer: resolve builtin task kinds, split the BLAS cores.
+
+    Each of the ``jobs`` workers may run :func:`_blas_budget` BLAS threads
+    instead of one per core: oversubscribed OpenBLAS threads spin on cores
+    the sibling workers need and slow the coset-scoring matrix products of
+    every worker.  Forked workers already inherit the budget from the
+    coordinator (see :meth:`ProcessExecutor.run`), so this only acts under
+    ``spawn``.  A numpy without a controllable OpenBLAS is left alone.
+    """
     _ensure_builtins()
+    limit_blas_threads(_blas_budget(jobs))
 
 
 @dataclass(frozen=True)
@@ -660,6 +676,7 @@ class ProcessExecutor:
             max_workers=min(self.jobs, max(1, batches)),
             mp_context=self._context(),
             initializer=_worker_init,
+            initargs=(self.jobs,),
         )
 
     def run(
@@ -681,6 +698,13 @@ class ProcessExecutor:
         in_flight: Dict["Future[_BatchResult]", Tuple[TaskBatch, int]] = {}
         stamps: Dict["Future[_BatchResult]", Tuple[float, float]] = {}
         delivered = 0
+        # Workers fork with the coordinator's BLAS thread count, so hold it
+        # at the worker budget while the pool runs: a forked OpenBLAS
+        # rebuilds its thread pool at the inherited width on first use,
+        # and the idle helpers spin.  The coordinator only dispatches
+        # meanwhile.
+        coordinator_blas = blas_threads()
+        limit_blas_threads(_blas_budget(self.jobs))
         pool = self._make_pool(len(batches))
         try:
             while ready or delayed or in_flight:
@@ -793,6 +817,9 @@ class ProcessExecutor:
         except BaseException:
             self._abort(pool, in_flight, stamps)
             raise
+        finally:
+            if coordinator_blas is not None:
+                limit_blas_threads(coordinator_blas)
         pool.shutdown(wait=True)
         return stats
 

@@ -33,6 +33,12 @@ possible cell value) with a single elementwise pass, then score any number
 of candidates with one gather.  The gathered values are bit-identical to
 the elementwise pipeline because every table entry is produced by exactly
 that pipeline.
+
+Encoders whose candidates are the data XORed with fixed masks (RCC cosets,
+VCC kernels) go one step further with :func:`xor_candidate_costs`: when
+the table entries are small integers (:func:`sums_exactly`, true of every
+builtin cost) a candidate's cost is a 0/1 dot product, so all candidates
+are scored by one matrix product with results bit-identical to the gather.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ __all__ = [
     "LexicographicCost",
     "saw_then_energy",
     "energy_then_saw",
+    "sums_exactly",
+    "xor_candidate_costs",
+    "xor_one_hot",
 ]
 
 #: Popcount of every possible cell value (cells hold at most 2 bits).
@@ -103,6 +112,86 @@ def _gather_transition_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.nd
     base *= levels
     # A flat 1-D take hits numpy's fast contiguous-gather path.
     return np.take(tables.reshape(-1), (base + new_cells).ravel()).reshape(new_cells.shape)
+
+
+def sums_exactly(tables: np.ndarray, cells: int) -> bool:
+    """True when any sum of ``cells`` entries of ``tables`` is exact in float64.
+
+    Holds when every entry is a finite integer and ``max|entry| * cells <
+    2**53``: every partial sum is then an integer float64 represents
+    exactly, so the total is the same in any summation order.
+    """
+    values = np.asarray(tables, dtype=np.float64)
+    # A NaN or infinite entry makes the largest magnitude fail the bound.
+    largest = float(np.abs(values).max(initial=0.0))
+    return largest * cells < 2.0**53 and bool(np.array_equal(values, np.trunc(values)))
+
+
+def xor_one_hot(masks: np.ndarray, levels: int) -> np.ndarray:
+    """The 0/1 operand :func:`xor_candidate_costs` multiplies by.
+
+    ``masks`` of shape ``(..., K, C)`` gives a float64 ``(..., K, C *
+    levels)`` array whose entry ``[..., k, c * levels + v]`` is 1 exactly
+    when ``masks[..., k, c] == v``.
+    """
+    masks = np.asarray(masks, dtype=np.intp)
+    # Row-gathering an identity matrix beats comparing against every
+    # level, whose broadcast inner loop is only ``levels`` long.
+    one_hot = np.take(np.eye(levels), masks, axis=0)
+    return one_hot.reshape(*masks.shape[:-1], masks.shape[-1] * levels)
+
+
+def xor_candidate_costs(
+    tables: np.ndarray,
+    data_cells: np.ndarray,
+    masks: np.ndarray,
+    one_hot: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Costs of XOR-mask candidates, ``sum_c tables[r, c, data[r, c] ^ masks[k, c]]``.
+
+    ``tables`` is ``(rows, C, levels)`` (one transition table per scored
+    cell group), ``data_cells`` the ``(rows, C)`` data cells, and the
+    result is ``(rows, K)``.  Folding the data into the table
+    (``F[r, c, v] = tables[r, c, v ^ data[r, c]]``) leaves a candidate's
+    cost a dot product of ``F[r]`` with the one-hot of its mask cells, so
+    every candidate of every row is one matrix product:
+
+    * shared masks ``(K, C)`` score all rows with one 2-D GEMM; pass
+      ``one_hot=xor_one_hot(masks, levels)`` to build that operand once;
+    * grouped masks ``(G, K, C)`` split the rows into ``G`` equal
+      consecutive blocks, block ``g`` scored against ``masks[g]`` by a
+      batched ``np.matmul`` (``G == rows`` gives per-row masks).
+
+    The products are exact only when :func:`sums_exactly` holds for the
+    tables; callers check that first and otherwise materialise the
+    candidates.  Under it the result is bit-identical to gathering each
+    candidate's cells and summing them.
+    """
+    rows, cells, levels = tables.shape
+    if one_hot is None:
+        # Fold and multiply only the mask values that occur (e.g. the 0/1
+        # right-digit masks of right-plane VCC on 4-level cells).
+        used = int(masks.max()) + 1
+        one_hot = xor_one_hot(masks, used)
+    else:
+        used = one_hot.shape[-1] // cells
+    # Fold level-major, so the index arithmetic and the gather run along
+    # the long rows * cells axis rather than the short level axis.
+    index = (np.arange(used, dtype=np.uint8)[:, None] ^ data_cells.reshape(1, -1)).astype(np.intp)
+    index += np.arange(0, rows * cells * levels, levels, dtype=np.intp)
+    folded = np.take(tables.reshape(-1), index).astype(np.float64, copy=False)
+    folded = folded.reshape(used, rows, cells)
+    scores: np.ndarray
+    if masks.ndim == 2:
+        scores = folded.transpose(1, 2, 0).reshape(rows, cells * used) @ one_hot.T
+    else:
+        groups = masks.shape[0]
+        # (G, K, C*used) @ (G, C*used, R) with both operands contiguous.
+        features = folded.reshape(used, groups, rows // groups, cells).transpose(1, 3, 0, 2)
+        scores = np.matmul(
+            one_hot, features.reshape(groups, cells * used, rows // groups)
+        ).transpose(0, 2, 1).reshape(rows, masks.shape[1])
+    return scores
 
 
 class CostFunction(abc.ABC):

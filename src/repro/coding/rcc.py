@@ -28,7 +28,13 @@ from repro.coding.base import (
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction
+from repro.coding.cost import (
+    BitChangeCost,
+    CostFunction,
+    sums_exactly,
+    xor_candidate_costs,
+    xor_one_hot,
+)
 from repro.coding.registry import register_encoder
 import repro.obs as obs
 from repro.errors import ConfigurationError
@@ -40,8 +46,8 @@ from repro.utils.validation import require_power_of_two
 __all__ = ["RCCEncoder"]
 
 # Same counter the batched cost kernels bump (registry get-or-create):
-# the transition-table fast path scores its candidates with a gather and
-# never enters a cost kernel, so it reports them itself.
+# the exact GEMM path scores its candidates without entering a cost
+# kernel, so it reports them itself.
 _OBS_CANDIDATES = obs.counter(
     "encode.candidates", "candidate lines scored by the batched cost kernels"
 )
@@ -104,18 +110,12 @@ class RCCEncoder(Encoder):
             self._coset_cells = words_to_cell_matrix(
                 cosets, word_bits, self.bits_per_cell
             )
-            # Gather index of the multi-line transition-table path: entry
-            # (c, cell) addresses slot ``cell * levels + coset_cell`` of a
-            # per-word table whose value axis was pre-XORed with the data.
-            levels = 1 << self.bits_per_cell
-            self._coset_gather = (
-                self._coset_cells.astype(np.intp)
-                + (np.arange(self.cells_per_word, dtype=np.intp) * levels)[None, :]
-            )
+            # The shared GEMM operand of the multi-line path, built once.
+            self._coset_one_hot = xor_one_hot(self._coset_cells, 1 << self.bits_per_cell)
         else:
             self._coset_array = None
             self._coset_cells = None
-            self._coset_gather = None
+            self._coset_one_hot = None
 
     @property
     def aux_bits(self) -> int:
@@ -155,9 +155,10 @@ class RCCEncoder(Encoder):
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
         tables = self.cost_function.transition_tables(contexts)
-        if tables is None:
-            # Non-cellwise cost function: materialise every candidate cell
-            # and score them through the generic 4-D kernel.
+        if tables is None or not sums_exactly(tables, self.cells_per_word):
+            # Non-cellwise cost, or tables whose sums float64 may round:
+            # materialise every candidate cell and score them through the
+            # generic 4-D kernel.
             candidates = (
                 (flat[None, :] ^ self._coset_array[:, None])
                 .reshape(self.num_cosets, lines, words)
@@ -170,31 +171,16 @@ class RCCEncoder(Encoder):
             return self._select_best_lines(
                 candidates, auxes, contexts, cells=candidate_cells
             )
-        # Transition-table fast path: fold the data word into the table
-        # (T'[w, cell, v] = T[w, cell, v ^ data_cell], so a candidate's
-        # cost row is addressed by the *coset* cells, which are fixed) and
-        # score all cosets of all words with one precomputed-index gather.
-        # Every gathered value is an entry the elementwise pipeline would
-        # have produced, so selection stays bit-identical to encode_line.
-        cells_per_word = data_cells.shape[1]
-        levels = tables.shape[3]
-        fold = (
-            np.arange(levels, dtype=np.uint8)[None, None, :] ^ data_cells[:, :, None]
-        ).astype(np.intp)
-        folded = np.take_along_axis(
-            tables.reshape(total_words, cells_per_word, levels), fold, axis=2
+        # Exact path: every coset of every word is one GEMM against the
+        # coset one-hot, with sums bit-identical to encode_line's.
+        data_costs = xor_candidate_costs(
+            tables.reshape(total_words, self.cells_per_word, -1),
+            data_cells,
+            self._coset_cells,
+            one_hot=self._coset_one_hot,
         )
-        # np.take (unlike an advanced-indexing gather) returns a C-contiguous
-        # array, so the per-candidate cell sums below run the exact same
-        # contiguous pairwise reduction as the single-line reference path.
-        gathered = np.take(
-            folded.reshape(total_words, cells_per_word * levels),
-            self._coset_gather.reshape(-1),
-            axis=1,
-        ).reshape(total_words, self.num_cosets, cells_per_word)
-        data_costs = gathered.sum(axis=2)
         _OBS_CANDIDATES.inc(lines * self.num_cosets)
-        # Selection inline (the (words, cosets) layout of the fast path
+        # Selection inline (the (words, cosets) layout of the GEMM path
         # saves transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
         # _select_best_line, and only the winning candidates are built.

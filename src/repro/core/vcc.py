@@ -35,11 +35,18 @@ from repro.coding.base import (
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import BitChangeCost, CostFunction
+from repro.coding.cost import (
+    BitChangeCost,
+    CostFunction,
+    sums_exactly,
+    xor_candidate_costs,
+    xor_one_hot,
+)
 from repro.coding.registry import register_encoder
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError, EncodingError
+import repro.obs as obs
 from repro.utils.bitops import (
     interleave_planes,
     interleave_planes_array,
@@ -49,6 +56,13 @@ from repro.utils.bitops import (
 )
 
 __all__ = ["VCCEncoder"]
+
+# Same counter the batched cost kernels bump (registry get-or-create): the
+# exact GEMM path never enters a cost kernel, so it reports its candidates
+# itself, exactly as the kernel call it replaces would.
+_OBS_CANDIDATES = obs.counter(
+    "encode.candidates", "candidate lines scored by the batched cost kernels"
+)
 
 
 def _narrow_uint_dtype(bits: int):
@@ -116,6 +130,14 @@ class VCCEncoder(Encoder):
         self._kernel_shifts = np.arange(
             config.kernel_bits - 1, -1, -1, dtype=np.uint32
         )
+        # Stored kernels are the same for every word, so the candidate
+        # masks of the exact GEMM path and their one-hot are built once.
+        self._rom_masks: Optional[np.ndarray] = None
+        self._rom_one_hot: Optional[np.ndarray] = None
+        if kernel_provider.is_stored and config.word_bits <= 64 and config.kernel_bits <= 63:
+            rom = np.asarray(kernel_provider.kernels_for(0), dtype=np.uint64)
+            self._rom_masks = self._candidate_mask_cells(rom)
+            self._rom_one_hot = xor_one_hot(self._rom_masks, 1 << self.bits_per_cell)
 
     # ----------------------------------------------------------- properties
     @property
@@ -294,9 +316,11 @@ class VCCEncoder(Encoder):
         one stacked "line" of ``lines * words_per_line`` words (see
         :func:`repro.coding.base.stack_line_contexts`): kernels, partition
         costs, flags, and the per-word argmin all run once over the stacked
-        word axis, with the candidate×partition costs evaluated through a
-        single :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs`
-        call.  Unlike :meth:`encode_line`, the winning codewords are
+        word axis, with the candidate×partition costs evaluated by one
+        :func:`repro.coding.cost.xor_candidate_costs` matrix product (one
+        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
+        when the cost tables fail :func:`repro.coding.cost.sums_exactly`).
+        Unlike :meth:`encode_line`, the winning codewords are
         assembled with vectorised bit arithmetic instead of the per-word
         Python loop; the selected kernels, flags, and costs are
         bit-identical to encoding each line separately.
@@ -331,43 +355,55 @@ class VCCEncoder(Encoder):
         kernel_mask = np.uint64(self._kernel_mask)
         subs = (region_array[:, None] >> sub_shifts) & kernel_mask
 
-        # All 2r candidate encodings of every partition of every word, in
-        # the same axis-0 layout as encode_line (XOR forms then XNOR).
-        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
-
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            # Kernel-sized values fit a narrow dtype; extracting the digit
-            # bits there instead of in uint64 cuts the memory traffic of
-            # the (2r, words, partitions, bits) temporaries several-fold.
-            narrow = _narrow_uint_dtype(config.kernel_bits)
-            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=narrow)
-            one = narrow(1)
-            right_bits = (all_values.astype(narrow)[..., None] >> shifts) & one
-            left_subs = ((left_array[:, None] >> sub_shifts) & kernel_mask).astype(narrow)
-            left_bits = (left_subs[..., None] >> shifts) & one
-            cell_matrix = np.asarray(
-                (left_bits[None] << one) | right_bits, dtype=np.uint8
-            )
-        else:
-            cell_matrix = words_matrix_to_cells(
-                all_values, config.kernel_bits, self.bits_per_cell
-            )
-
         cells_per_partition = config.cells_per_partition
         stacked = stack_line_contexts(list(contexts))
         # The batch views all lines as one stacked line: word w of line l is
-        # stacked word l * words_per_line + w, so the one-line 4-D kernel
-        # call below scores every partition of every queued write at once.
-        costs = (
-            self.cost_function.batch_line_cell_costs(
-                cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
-                [stacked.split_partitions(p)],
+        # stacked word l * words_per_line + w, and partition j of stacked
+        # word w is row w * p + j of the partitioned context.
+        partitioned = stacked.split_partitions(p)
+        tables = self.cost_function.transition_tables([partitioned])
+        # Candidate cells are the data cells XOR the kernel (or complement)
+        # mask cells, the same masks for every word when kernels are stored.
+        data_cells = words_matrix_to_cells(
+            flat, config.word_bits, self.bits_per_cell
+        ).reshape(num_words * p, cells_per_partition)
+        if self._rom_masks is not None:
+            masks, one_hot = self._rom_masks, self._rom_one_hot
+        else:
+            masks, one_hot = self._candidate_mask_cells(kernels_matrix), None
+        if tables is not None and sums_exactly(tables, self.cells_per_word):
+            # Exact path: every candidate of every partition is one GEMM
+            # (stored kernels) or one small matmul per word (generated
+            # kernels), with sums bit-identical to the materialised path.
+            costs = (
+                xor_candidate_costs(
+                    tables.reshape(num_words * p, cells_per_partition, -1),
+                    data_cells,
+                    masks,
+                    one_hot=one_hot,
+                )
+                .reshape(num_words, p, 2 * r)
+                .transpose(2, 0, 1)
             )
-            .reshape(2 * r, num_words * p, cells_per_partition)
-            .sum(axis=2)
-            .reshape(2 * r, num_words, p)
-        )
+            _OBS_CANDIDATES.inc(2 * r)
+        else:
+            # Non-cellwise cost, or tables whose sums float64 may round:
+            # materialise the (2r, words, partitions, cells) candidate cells
+            # and score them through one generic kernel call.
+            word_masks = masks if masks.ndim == 3 else masks[None]
+            cell_matrix = (
+                data_cells.reshape(1, num_words, p, cells_per_partition)
+                ^ word_masks.transpose(1, 0, 2)[:, :, None, :]
+            )
+            costs = (
+                self.cost_function.batch_line_cell_costs(
+                    cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
+                    [partitioned],
+                )
+                .reshape(2 * r, num_words * p, cells_per_partition)
+                .sum(axis=2)
+                .reshape(2 * r, num_words, p)
+            )
         xor_costs = costs[:r]
         xnor_costs = costs[r:]
         flags_matrix = xnor_costs < xor_costs
@@ -456,6 +492,26 @@ class VCCEncoder(Encoder):
         if self.config.encode_region is EncodeRegion.RIGHT_PLANE:
             return interleave_planes(left_plane, encoded_region, self.config.word_bits)
         return encoded_region
+
+    def _candidate_mask_cells(self, kernels: np.ndarray) -> np.ndarray:
+        """Cells each candidate XORs into a partition's data cells.
+
+        ``(..., r)`` kernels give ``(..., 2r, cells_per_partition)`` masks:
+        the XOR forms, then the XNOR forms, whose kernel complement flips
+        every bit of every mask cell.  Cell decomposition distributes over
+        XOR; in the right plane a kernel bit flips only the right digit of
+        its cell.
+        """
+        config = self.config
+        if config.encode_region is EncodeRegion.RIGHT_PLANE:
+            narrow = _narrow_uint_dtype(config.kernel_bits)
+            shifts = self._kernel_shifts.astype(narrow)
+            cells = ((kernels.astype(narrow)[..., None] >> shifts) & narrow(1)).astype(np.uint8)
+            flip = 1
+        else:
+            cells = words_matrix_to_cells(kernels, config.kernel_bits, self.bits_per_cell)
+            flip = (1 << self.bits_per_cell) - 1
+        return np.concatenate([cells, cells ^ np.uint8(flip)], axis=-2)
 
     def _partition_cells(self, j: int) -> Tuple[int, int]:
         """Cell index range ``[start, stop)`` covered by partition ``j``."""

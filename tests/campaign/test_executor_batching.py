@@ -27,6 +27,7 @@ from repro.campaign.spec import SweepSpec, Task
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task, unregister_task
 from repro.errors import ConfigurationError, SimulationError
+from repro.utils.blas import blas_threads
 
 START_METHODS = multiprocessing.get_all_start_methods()
 
@@ -255,3 +256,23 @@ class TestCrashRecovery:
             assert len(results) == len(survivors)
         finally:
             unregister_task("test-batch-shm-crash-cell")
+
+
+@pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS is not controllable")
+class TestWorkerBlasBudget:
+    def test_workers_split_the_cores(self):
+        @register_task("test-blas-threads-cell")
+        def _cell(params):
+            return [{"index": params["index"], "threads": blas_threads()}]
+
+        spec = SweepSpec(kind="test-blas-threads-cell", grid={"index": list(range(4))})
+        coordinator_threads = blas_threads()
+        try:
+            result = run_campaign(spec, jobs=2, batch_size=1)
+        finally:
+            unregister_task("test-blas-threads-cell")
+        budget = max(1, (os.cpu_count() or 1) // 2)
+        assert [row["threads"] for row in result.rows()] == [budget] * 4
+        # The cap applies inside the workers only.
+        assert blas_threads() == coordinator_threads
