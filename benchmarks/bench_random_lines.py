@@ -7,8 +7,8 @@ and checks the driver's contracts:
 
 * **parity** — every per-write accounting value of the batched drive is
   bit-identical to the scalar path (which draws the identical addresses
-  and words from the shared seeded stream), for the identity fast path
-  (``unencoded``) and the generic encoder path (``rcc``);
+  and words from the shared seeded stream), for an identity encoder whose
+  waves skip the encode (``unencoded``) and a coset encoder (``rcc``);
 * **throughput** — the batched driver sustains at least ``3x`` the scalar
   random-line throughput on the unencoded identity path.  The floor is
   enforced only on hosts with a spare core (``os.cpu_count() >= 2``,
@@ -132,8 +132,8 @@ def main() -> None:
         f"random-line benchmark: {MEASURE_WRITES} writes, {ROWS} rows, encrypted"
     )
     specs = [
-        ("unencoded (identity fast path)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
-        ("rcc-256 (generic path)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
+        ("unencoded (identity, no encode)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
+        ("rcc-256 (coset encode)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
     ]
     print(f"{'technique':32s} {'scalar w/s':>11} {'batched w/s':>12} {'speedup':>8}")
     results = {}

@@ -6,8 +6,8 @@ every lifetime figure) through the scalar ``write_line`` loop and through
 the engine's contracts:
 
 * **parity** — every per-write accounting value of the replay is
-  bit-identical to the scalar path, for the identity fast path
-  (``unencoded``) and the generic encoder path (``rcc``);
+  bit-identical to the scalar path, for an identity encoder whose waves
+  skip the encode (``unencoded``) and a coset encoder (``rcc``);
 * **throughput** — the replay engine sustains at least ``3x`` the scalar
   lifetime-cell throughput.  The floor is enforced only on hosts with a
   spare core (``os.cpu_count() >= 2``, mirroring
@@ -100,8 +100,8 @@ def _assert_parity(spec: TechniqueSpec, total: int) -> None:
 
 
 def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
-    """Writes/second of the scalar loop and of replay_trace (with a stop
-    predicate wired, as the lifetime study drives it)."""
+    """Writes/second of the scalar loop and of replay_trace (with a block
+    stop rule wired, as the lifetime study drives it)."""
     trace = _trace()
     controller = _controller(spec)
     start = time.perf_counter()  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
@@ -114,7 +114,7 @@ def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
         trace,
         repetitions=-(-total // len(trace)),
         max_writes=total,
-        stop=lambda index, row, saw, bits: False,
+        stop=lambda lo, rows, saw, bits: None,
     )
     replay_s = time.perf_counter() - start  # repro: allow[DET003,OBS001] reason=benchmark stopwatch; the elapsed time is the measured quantity and never enters a result table
     assert replay.writes == total
@@ -122,7 +122,7 @@ def measure(spec: TechniqueSpec, total: int) -> Tuple[float, float]:
 
 
 def test_trace_replay_parity_and_speedup() -> None:
-    # Contract 1: bit-identical per-write accounting on both engine paths.
+    # Contract 1: bit-identical per-write accounting for both encoders.
     _assert_parity(
         TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), PARITY_WRITES
     )
@@ -157,8 +157,8 @@ def main() -> None:
         f"{TRACE_WRITEBACKS}-writeback lbm trace, encrypted"
     )
     specs = [
-        ("unencoded (identity fast path)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
-        ("rcc-256 (generic path)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
+        ("unencoded (identity, no encode)", TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), MEASURE_WRITES),
+        ("rcc-256 (coset encode)", TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=256), 2_000),
     ]
     print(f"{'technique':32s} {'scalar w/s':>11} {'replay w/s':>11} {'speedup':>8}")
     results = {}
@@ -183,7 +183,7 @@ def main() -> None:
         },
         results=results,
     )
-    print("parity: checking per-write bit-identity on both paths ...", end=" ")
+    print("parity: checking per-write bit-identity on both encoders ...", end=" ")
     _assert_parity(TechniqueSpec(encoder="unencoded", cost="saw-then-energy"), PARITY_WRITES)
     _assert_parity(TechniqueSpec(encoder="rcc", cost="saw-then-energy", num_cosets=16), PARITY_WRITES)
     print("OK")

@@ -392,9 +392,12 @@ class CostFunction(abc.ABC):
 
 def _changed_aux_bits(new_auxes: np.ndarray, old_auxes: np.ndarray) -> np.ndarray:
     """Vectorised popcount of ``new ^ old`` over a (candidates, words) batch."""
-    new = np.asarray(new_auxes, dtype=np.uint64)
+    new = np.asarray(new_auxes)
     old = np.broadcast_to(np.asarray(old_auxes, dtype=np.uint64), new.shape[-1:])
-    return popcount64_array(new ^ old).astype(np.float64)
+    # One uint64 block for the xor (no converted copy of ``new``), freed
+    # as soon as it is counted.
+    counts = popcount64_array(np.bitwise_xor(new, old, dtype=np.uint64, casting="unsafe"))
+    return counts.astype(np.float64)
 
 
 def _stacked_old_cells(contexts: Sequence[LineContext]) -> np.ndarray:
@@ -567,7 +570,9 @@ class EnergyCost(CostFunction):
         self, new_auxes: np.ndarray, old_auxes: np.ndarray, aux_bits: int
     ) -> np.ndarray:
         del aux_bits
-        return _changed_aux_bits(new_auxes, old_auxes) * self._aux_bit_energy
+        costs = _changed_aux_bits(new_auxes, old_auxes)
+        costs *= self._aux_bit_energy
+        return costs
 
 
 class SawCost(CostFunction):
@@ -692,8 +697,10 @@ class LexicographicCost(CostFunction):
     def aux_costs_matrix(
         self, new_auxes: np.ndarray, old_auxes: np.ndarray, aux_bits: int
     ) -> np.ndarray:
-        primary = self.primary.aux_costs_matrix(new_auxes, old_auxes, aux_bits)
+        # Secondary first: its temporaries are gone before the primary's
+        # (often all-zero) block is allocated.
         secondary = self.secondary.aux_costs_matrix(new_auxes, old_auxes, aux_bits)
+        primary = self.primary.aux_costs_matrix(new_auxes, old_auxes, aux_bits)
         if not primary.any():
             # 0 * scale + x == x bit-for-bit, so an all-zero primary (e.g.
             # SawCost, which never charges auxiliary bits) short-circuits

@@ -31,11 +31,19 @@ from repro.coding.base import (
 )
 from repro.coding.cost import BitChangeCost, CostFunction
 from repro.coding.registry import register_encoder
+import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.utils.validation import require, require_divisible
 
 __all__ = ["FNWEncoder"]
+
+# Same counter the batched cost kernels bump (registry get-or-create):
+# encode_lines scores its batch as one stacked line, so it tops the
+# kernel's count up to two forms per line.
+_OBS_CANDIDATES = obs.counter(
+    "encode.candidates", "candidate lines scored by the batched cost kernels"
+)
 
 
 @register_encoder(
@@ -200,6 +208,7 @@ class FNWEncoder(Encoder):
             .reshape(2, lines, num_words, p)
             .swapaxes(0, 1)
         )
+        _OBS_CANDIDATES.inc((lines - 1) * 2)
         flags_matrix = costs[:, 1] < costs[:, 0]
         chosen_costs = np.where(flags_matrix, costs[:, 1], costs[:, 0])
         # Accumulate partitions left to right, matching the scalar loop's

@@ -173,24 +173,26 @@ class RCCEncoder(Encoder):
             )
         # Exact path: every coset of every word is one GEMM against the
         # coset one-hot, with sums bit-identical to encode_line's.
-        data_costs = xor_candidate_costs(
+        totals = xor_candidate_costs(
             tables.reshape(total_words, self.cells_per_word, -1),
             data_cells,
             self._coset_cells,
             one_hot=self._coset_one_hot,
         )
+        # A wave's peak memory is a few (words, cosets) float blocks, so
+        # the tables go first and the aux costs are added in place.
+        del tables
         _OBS_CANDIDATES.inc(lines * self.num_cosets)
         # Selection inline (the (words, cosets) layout of the GEMM path
         # saves transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
         # _select_best_line, and only the winning candidates are built.
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
-        aux_costs = self.cost_function.aux_costs_matrix(
+        totals += self.cost_function.aux_costs_matrix(
             np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
             old_auxes,
             self.aux_bits,
-        )
-        totals = data_costs + aux_costs.T
+        ).T
         best = np.argmin(totals, axis=1)
         codeword_rows = (flat ^ self._coset_array[best]).reshape(lines, words).tolist()
         aux_rows = best.reshape(lines, words).tolist()

@@ -385,7 +385,7 @@ class VCCEncoder(Encoder):
                 .reshape(num_words, p, 2 * r)
                 .transpose(2, 0, 1)
             )
-            _OBS_CANDIDATES.inc(2 * r)
+            _OBS_CANDIDATES.inc(lines * 2 * r)
         else:
             # Non-cellwise cost, or tables whose sums float64 may round:
             # materialise the (2r, words, partitions, cells) candidate cells
@@ -404,6 +404,8 @@ class VCCEncoder(Encoder):
                 .sum(axis=2)
                 .reshape(2 * r, num_words, p)
             )
+            # The kernel call counted the stacked batch as one line.
+            _OBS_CANDIDATES.inc((lines - 1) * 2 * r)
         xor_costs = costs[:r]
         xnor_costs = costs[r:]
         flags_matrix = xnor_costs < xor_costs

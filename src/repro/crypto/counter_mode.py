@@ -118,7 +118,7 @@ class CounterModeEngine:
         """Un-bump the counters of lines that were encrypted but not stored.
 
         The batched replay engine encrypts a chunk of writes ahead of
-        performing them; when an early-stop predicate ends the replay
+        performing them; when an early-stop rule ends the replay
         mid-chunk, the tail of the chunk was never written and its counter
         bumps must be undone so subsequent reads and writes see exactly
         the state a scalar :meth:`encrypt_line` sequence would have left.

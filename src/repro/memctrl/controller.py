@@ -9,7 +9,7 @@ trace at once through the batched :meth:`MemoryController.replay_trace`
 engine, or a stream of uniformly random lines through
 :meth:`MemoryController.write_random_lines` (both batched drivers share
 the same internals: bit-identical accounting, per-write results
-accumulated into the preallocated arrays of a :class:`ReplayResult`).
+accumulated into the arrays of a :class:`ReplayResult`).
 
 The write path is line-granular end to end: each write issues a single
 :meth:`repro.coding.base.Encoder.encode_line` call (vectorised for every
@@ -17,21 +17,24 @@ builtin technique), auxiliary bits live in a preallocated
 ``(rows, words_per_line)`` array, and the energy / SAW accounting is
 computed with NumPy over the whole row.
 
-The batched drivers go one level further: the generic (non-identity)
-replay path partitions each chunk into *waves* of queued writes targeting
-distinct rows, gathers the old-cell state of the whole wave in one
-:meth:`repro.pcm.array.PCMArray.read_rows` call, encodes every line of the
-wave through a single :meth:`repro.coding.base.Encoder.encode_lines` call,
-and flushes the wave's accounting with row-wise NumPy reductions — all
-bit-identical to the scalar :meth:`MemoryController.write_line` sequence,
-because writes within a wave cannot observe each other's rows and
-wear-leveling gap migrations always land on a wave's last write.
+The batched drivers go one level further with one wave loop
+(:meth:`MemoryController._replay_waves`).  Each wave takes queued writes
+whose row has no earlier queued write — hopping past row conflicts —
+gathers their rows in one :meth:`repro.pcm.array.PCMArray.read_rows`
+call, encodes every line through a single
+:meth:`repro.coding.base.Encoder.encode_lines` call, applies them with one
+:meth:`repro.pcm.array.PCMArray.write_rows_fast` and flushes their
+accounting with row-wise NumPy reductions.  Per-row order is the only true
+dependency between writes, so all of it is bit-identical to the scalar
+:meth:`MemoryController.write_line` sequence; an early stop undoes the
+writes applied past it from the snapshots their waves gathered (see
+DESIGN.md, "Replay schedule").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.traces
     from repro.faults.models import FaultModel
@@ -51,7 +54,7 @@ from repro.crypto.counter_mode import CounterModeEngine
 from repro.ecc.base import ErrorCorrector
 from repro.errors import ConfigurationError, MemoryModelError
 from repro.memctrl.config import ControllerConfig
-from repro.pcm.array import PCMArray
+from repro.pcm.array import PCMArray, RowSnapshot
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY, MLCEnergyModel, SLCEnergyModel
 from repro.pcm.faultrepo import FaultRepository
@@ -71,33 +74,45 @@ FAULT_KNOWLEDGE_MODES = ("oracle", "discovered", "none")
 #: per-call overhead of the batched encode kernels.
 REPLAY_WAVE_LINES = 32
 
-#: Early-stop predicate for :meth:`MemoryController.replay_trace`, called
-#: after every write as ``stop(index, row_index, saw_cells,
-#: saw_bits_per_word)``; returning True ends the replay after that write.
-ReplayStop = Callable[[int, int, int, np.ndarray], bool]
+#: Early-stop rule for :meth:`MemoryController.replay_trace`.  The replay
+#: calls it once per newly committed contiguous block of writes ``[lo, hi)``
+#: as ``stop(lo, row_indices, saw_cells, saw_bits_per_word)``, the arrays
+#: holding the block's per-write accounting in index order.  It returns the
+#: global index of the write after which the replay ends (one inside the
+#: block), or ``None`` to go on.  Blocks arrive in order and tile the replay.
+ReplayStop = Callable[[int, np.ndarray, np.ndarray, np.ndarray], Optional[int]]
 
 # Replay-engine telemetry.  Metric updates happen at wave/chunk (never
 # per-write) granularity; bench_obs_overhead.py swaps these handles for
 # null stand-ins to prove the whole layer costs <2% when tracing is off.
-_OBS_WAVES = obs.counter("replay.waves", "encode waves executed by the generic replay path")
+_OBS_WAVES = obs.counter("replay.waves", "encode waves executed by the replay wave loop")
 _OBS_WAVE_LINES = obs.histogram("replay.wave_lines", "lines encoded per replay wave")
 _OBS_CONFLICT_CUTS = obs.counter(
-    "replay.conflict_cuts", "waves cut short by a write to an already-queued row"
+    "replay.conflict_cuts",
+    "waves held below the line cap because writes in their scan window "
+    "waited on an earlier write to the same row",
 )
 _OBS_GAP_FLUSHES = obs.counter(
-    "replay.gap_flushes", "waves capped by a pending Start-Gap gap migration"
+    "replay.gap_flushes",
+    "waves held below the line cap because their scan window ended at "
+    "the next Start-Gap gap move",
 )
 _OBS_IDENTITY_CHUNKS = obs.counter(
-    "replay.identity_chunks", "chunks taken by the identity-encoder fast path"
+    "replay.identity_chunks",
+    "replay chunks whose waves skipped the encode (identity encoder)",
 )
 _OBS_SCALAR_FALLBACKS = obs.counter(
     "replay.scalar_fallbacks", "chunk ranges replayed by the scalar (odd-width) fallback"
 )
 _OBS_EARLY_STOPS = obs.counter(
-    "replay.early_stops", "replays ended early by the stop predicate"
+    "replay.early_stops", "replays ended early by the stop rule"
 )
 _OBS_EARLY_STOP_INDEX = obs.gauge(
     "replay.early_stop_index", "write index at which the latest replay stopped early"
+)
+_OBS_ROLLED_BACK = obs.counter(
+    "replay.rolled_back_writes",
+    "applied writes past an early stop undone from their wave snapshots",
 )
 _OBS_TRANSIENT_FLIPS = obs.counter(
     "faults.transient_flips", "cells sensed wrongly by the transient fault model"
@@ -155,8 +170,8 @@ class LineWriteResult:
 class ReplayResult:
     """Per-write accounting of one :meth:`MemoryController.replay_trace` call.
 
-    Each attribute is a preallocated array with one entry per performed
-    write, in replay order; every value is bit-identical to what the
+    Each attribute is an array with one entry per performed write, in
+    replay order; every value is bit-identical to what the
     corresponding :class:`LineWriteResult` of a scalar
     :meth:`MemoryController.write_line` sequence would carry.
 
@@ -177,7 +192,7 @@ class ReplayResult:
     writes:
         Number of writes performed (the common length of the arrays).
     stopped_early:
-        True when the ``stop`` predicate ended the replay before the
+        True when the ``stop`` rule ended the replay before the
         requested repetitions (or ``max_writes``) were exhausted.
     """
 
@@ -245,7 +260,7 @@ class ReplayResult:
 
     @classmethod
     def empty(cls, capacity: int, words_per_line: int) -> "ReplayResult":
-        """Preallocate accounting arrays for up to ``capacity`` writes."""
+        """Allocate zeroed accounting arrays for up to ``capacity`` writes."""
         return cls(
             addresses=np.zeros(capacity, dtype=np.int64),
             row_indices=np.zeros(capacity, dtype=np.int64),
@@ -259,30 +274,85 @@ class ReplayResult:
             words_per_line=words_per_line,
         )
 
+    def _reserve(self, needed: int, limit: int) -> None:
+        """Grow the arrays to hold ``needed`` writes, at most ``limit``.
+
+        Capacity at least doubles on each growth, so a replay pays for
+        arrays sized by the chunks it actually ran (a lifetime cell that
+        stops after a few hundred of its 200k allowed writes allocates
+        ~1.5k rows), at an amortised one copy per write.
+        """
+        capacity = len(self.addresses)
+        if needed <= capacity:
+            return
+        grown = ReplayResult.empty(min(limit, max(needed, 2 * capacity)), self.words_per_line)
+        for name in _REPLAY_ARRAYS:
+            getattr(grown, name)[:capacity] = getattr(self, name)
+            setattr(self, name, getattr(grown, name))
+
     def _trim(self, writes: int, stopped_early: bool) -> "ReplayResult":
         """Shrink every array down to the writes actually performed.
 
-        A copy (not a view) when the replay ended early, so a result of a
-        few hundred writes does not pin the full-capacity arrays of a
-        200k-write preallocation in memory.
+        A copy (not a view) when capacity was left over, so the result
+        does not pin the larger arrays in memory.
         """
-        compact = (
-            (lambda array: array[:writes].copy())
-            if writes < len(self.addresses)
-            else (lambda array: array)
-        )
-        self.addresses = compact(self.addresses)
-        self.row_indices = compact(self.row_indices)
-        self.data_energy_pj = compact(self.data_energy_pj)
-        self.aux_energy_pj = compact(self.aux_energy_pj)
-        self.cells_changed = compact(self.cells_changed)
-        self.bits_changed = compact(self.bits_changed)
-        self.saw_cells = compact(self.saw_cells)
-        self.saw_bits_per_word = compact(self.saw_bits_per_word)
-        self.newly_stuck_cells = compact(self.newly_stuck_cells)
+        if writes < len(self.addresses):
+            for name in _REPLAY_ARRAYS:
+                setattr(self, name, getattr(self, name)[:writes].copy())
         self.writes = writes
         self.stopped_early = stopped_early
         return self
+
+
+#: The per-write array attributes of :class:`ReplayResult`.
+_REPLAY_ARRAYS = (
+    "addresses",
+    "row_indices",
+    "data_energy_pj",
+    "aux_energy_pj",
+    "cells_changed",
+    "bits_changed",
+    "saw_cells",
+    "saw_bits_per_word",
+    "newly_stuck_cells",
+)
+
+
+def _ask_stop(
+    stop: Optional[ReplayStop], replay: ReplayResult, lo: int, hi: int
+) -> Optional[int]:
+    """Show the committed block ``[lo, hi)`` to ``stop``; its verdict or None."""
+    if stop is None:
+        return None
+    verdict = stop(
+        lo, replay.row_indices[lo:hi], replay.saw_cells[lo:hi], replay.saw_bits_per_word[lo:hi]
+    )
+    if verdict is None:
+        return None
+    if not lo <= verdict < hi:
+        raise ConfigurationError(
+            f"stop rule returned write {verdict} outside the committed block [{lo}, {hi})"
+        )
+    return int(verdict)
+
+
+@dataclass
+class _WaveUndo:
+    """What one applied replay wave overwrote, kept until its writes commit.
+
+    ``indices`` (ascending global write indices) and ``rows`` name the
+    wave's writes; the other fields hold each row's state from before the
+    wave: the array's cells/stuck/wear, the auxiliary bits, the sense
+    count, and — for rows whose write reported mismatching cells — the
+    fault repository's table.
+    """
+
+    indices: np.ndarray
+    rows: np.ndarray
+    array_rows: RowSnapshot
+    auxes: np.ndarray
+    sense_counts: Optional[np.ndarray]
+    faults: Dict[int, Optional[Dict[int, int]]] = field(default_factory=dict)
 
 
 class MemoryController:
@@ -573,14 +643,12 @@ class MemoryController:
 
         The batched sibling of a :meth:`write_line` loop: the whole replay
         runs inside the controller, accumulating per-write accounting into
-        the preallocated arrays of a :class:`ReplayResult` instead of one
+        the arrays of a :class:`ReplayResult` instead of one
         :class:`LineWriteResult` (plus several lists and tuples) per write.
-        Every accounting value is bit-identical to the scalar path — the
-        generic path runs the exact same :meth:`_apply_line_write` core,
-        and the identity-encoder fast path skips only work whose outcome
-        is fixed (the unencoded baseline stores the ciphertext unchanged
-        with no auxiliary bits).  The controller's running
-        :attr:`stats` are updated once at the end with the batch totals.
+        Every accounting value, and the controller state afterwards, is
+        bit-identical to the scalar path (see :meth:`_replay_waves`).  The
+        controller's running :attr:`stats` are updated once at the end with
+        the batch totals.
 
         Parameters
         ----------
@@ -590,11 +658,11 @@ class MemoryController:
         repetitions:
             How many times to replay the trace end to end.
         stop:
-            Optional early-stop predicate called after every write as
-            ``stop(index, row_index, saw_cells, saw_bits_per_word)``;
-            returning True ends the replay after that write (lifetime
-            studies stop on the Nth failed row instead of paying for the
-            remaining writes).
+            Optional early-stop rule (see :data:`ReplayStop`), called once
+            per newly committed block of writes as ``stop(lo, row_indices,
+            saw_cells, saw_bits_per_word)``; returning a write index ends
+            the replay after that write (lifetime studies stop on the Nth
+            failed row instead of paying for the remaining writes).
         max_writes:
             Optional hard cap on the total number of writes, applied on
             top of ``repetitions`` (the last repetition may be partial).
@@ -619,7 +687,7 @@ class MemoryController:
         if max_writes is not None:
             total = min(total, max_writes)
         words_per_line = self.config.words_per_line
-        replay = ReplayResult.empty(total, words_per_line)
+        replay = ReplayResult.empty(0, words_per_line)
         if total == 0:
             return replay._trim(0, False)
 
@@ -631,14 +699,14 @@ class MemoryController:
             # Wide/odd word sizes: per-record scalar fallback.
             return list(trace[index % num_records].words)
 
-        # Chunked execution: pads and cell conversions are produced only
-        # for writes about to be performed.  The geometric chunk ramp
-        # bounds the work wasted when an early stop ends the replay after
-        # a few hundred writes (lifetime cells stop at a tiny fraction of
-        # their max_writes cap) without costing long replays anything,
-        # and an early stop rolls the encryption counters of the unused
-        # chunk tail back so controller state matches the scalar path
-        # exactly.
+        # Chunked execution: pads, cell conversions and result arrays are
+        # produced only for writes about to be performed.  The geometric
+        # chunk ramp bounds the work wasted when an early stop ends the
+        # replay after a few hundred writes (lifetime cells stop at a tiny
+        # fraction of their max_writes cap) without costing long replays
+        # anything, and an early stop rolls the encryption counters of the
+        # unused chunk tail back so controller state matches the scalar
+        # path exactly.
         chunk = 512
         start = 0
         performed = 0
@@ -648,6 +716,7 @@ class MemoryController:
             while start < total and not stopped:
                 end = min(start + chunk, total)
                 chunk = min(chunk * 2, 8192)
+                replay._reserve(end, total)
                 encrypted_chunk: Optional[np.ndarray] = None
                 if batch_capable:
                     record_indices = np.arange(start, end, dtype=np.int64) % num_records
@@ -660,14 +729,13 @@ class MemoryController:
                         )
                         if encrypted_chunk is None:
                             batch_capable = False
-                if encrypted_chunk is not None and self.encoder.is_identity:
-                    _OBS_IDENTITY_CHUNKS.inc()
-                    performed, stopped = self._replay_identity(
+                if encrypted_chunk is not None:
+                    performed, stopped = self._replay_waves(
                         replay, addresses, encrypted_chunk, start, end, stop
                     )
                 else:
-                    performed, stopped = self._replay_generic(
-                        replay, plaintext_for, addresses, encrypted_chunk, start, end, stop
+                    performed, stopped = self._replay_scalar(
+                        replay, plaintext_for, addresses, start, end, stop
                     )
                 if (
                     stopped
@@ -685,7 +753,7 @@ class MemoryController:
         self.stats.absorb(replay.write_stats())
         return replay
 
-    def _replay_identity(
+    def _replay_waves(
         self,
         replay: ReplayResult,
         addresses: np.ndarray,
@@ -693,312 +761,257 @@ class MemoryController:
         start: int,
         end: int,
         stop: Optional[ReplayStop],
-    ):
-        """Replay fast path for identity encoders over writes [start, end).
+    ) -> Tuple[int, bool]:
+        """The replay wave loop over writes ``[start, end)``.
 
-        The stored values are the ciphertext words themselves and no
-        auxiliary bits exist, so the per-write work reduces to the array
-        write; everything else (energy, changed bits/cells, SAW) is a pure
-        function of the (old, stored, intended) cell rows and is computed
-        in one vectorised flush per chunk — row-wise NumPy reductions are
-        bit-identical to the scalar path's per-row reductions.  Returns
-        ``(performed, stopped)`` with ``performed`` the global write count.
+        Each wave takes up to :attr:`replay_wave_lines` pending writes, in
+        index order, whose row has no earlier pending write, from a scan
+        window of ``2 * replay_wave_lines`` writes that starts at the lowest
+        pending one and ends at the write triggering the next Start-Gap gap
+        move.  Such a
+        write sees exactly the row, stuck knowledge, auxiliary bits and
+        sense count its scalar turn would, so the wave is gathered once,
+        encoded once through :meth:`repro.coding.base.Encoder.encode_lines`
+        (identity encoders skip the encode: they store the ciphertext
+        unchanged), applied with one
+        :meth:`repro.pcm.array.PCMArray.write_rows_fast` and its accounting
+        flushed by index array.
+
+        Writes below the lowest pending index are *committed*, so at most
+        one window of applied writes is uncommitted.  Every time that
+        frontier moves, the ``stop`` rule sees the new block and
+        Start-Gap is told of its kept writes (a gap move fires only once
+        every write up to its trigger is in).  When the rule
+        ends the replay at write ``s``, every applied write past ``s`` is
+        undone from the snapshot its wave gathered (see
+        :meth:`_rollback_waves`).  Returns ``(performed, stopped)`` with
+        ``performed`` the global write count.
         """
         count = end - start
         array = self.array
-        bits_per_cell = array.bits_per_cell
-        words_per_line = self.config.words_per_line
-        cells_chunk = words_matrix_to_cells(
-            encrypted_chunk, self.config.word_bits, bits_per_cell
-        ).reshape(count, array.cells_per_row)
-        popcount = self._bit_popcount
-        write_row_fast = array.write_row_fast
-        repository = self.fault_repository
         leveler = self.wear_leveler
+        repository = self.fault_repository
+        identity = self.encoder.is_identity
+        words_per_line = self.config.words_per_line
+        bits_per_cell = array.bits_per_cell
         chunk_addresses = addresses[start:end]
-        row_indices = None if leveler is not None else chunk_addresses % array.rows
-        np.copyto(replay.addresses[start:end], chunk_addresses)
-        out_rows = replay.row_indices
-        out_newly = replay.newly_stuck_cells
-
-        old_buffer = np.empty((count, array.cells_per_row), dtype=np.uint8)
-        stored_buffer = np.empty_like(old_buffer)
-        zero_saw_bits = np.zeros(words_per_line, dtype=np.int64)
-
-        performed = start
-        stopped = False
-        for local in range(count):
-            index = start + local
-            if row_indices is not None:
-                row_index = row_indices[local]
-            else:
-                row_index = self.row_for_address(int(chunk_addresses[local]))
-            intended = cells_chunk[local]
-            old, stored, changed_mask, saw_mask, newly_stuck = write_row_fast(
-                row_index, intended
-            )
-            old_buffer[local] = old
-            stored_buffer[local] = stored
-            out_rows[index] = row_index
-            out_newly[index] = newly_stuck
-
-            if repository is not None:
-                repository.observe_write(row_index, intended, stored)
-            if leveler is not None:
-                movement = leveler.record_write()
-                if movement is not None:
-                    self._migrate_row(*movement)
-
-            performed = index + 1
-            if stop is not None:
-                saw_count = int(saw_mask.sum())
-                if saw_count:
-                    wrong = stored ^ intended
-                    saw_bits = (
-                        popcount[wrong]
-                        if bits_per_cell == 2
-                        else (wrong != 0).astype(np.int64)
-                    ).reshape(words_per_line, -1).sum(axis=1)
-                else:
-                    saw_bits = zero_saw_bits
-                if stop(index, int(row_index), saw_count, saw_bits):
-                    stopped = True
-                    break
-
-        done = performed - start
-        # Identity encoders store no auxiliary bits: aux energy stays 0.
-        self._flush_replay_accounting(
-            replay, start, performed, old_buffer[:done], stored_buffer[:done], cells_chunk[:done]
+        replay.addresses[start:end] = chunk_addresses
+        if identity:
+            _OBS_IDENTITY_CHUNKS.inc()
+        # Without wear leveling the address-to-row mapping is fixed; with
+        # it, a write's row is looked up when the write first enters a scan
+        # window, which never reaches past the next gap move.
+        row_of: List[int] = (
+            [0] * count if leveler is not None else (chunk_addresses % array.rows).tolist()
         )
-        return performed, stopped
+        cap = self.replay_wave_lines
+        window = 2 * cap
+        waiting: List[int] = []  # scanned, not yet applied (ascending local indices)
+        fresh = 0  # lowest local index no window has scanned
+        frontier = 0  # lowest local index not yet applied
+        undo: List[_WaveUndo] = []  # applied waves holding uncommitted writes
+
+        while frontier < count:
+            # ---- wave selection over the scan window.
+            bound = count
+            if leveler is not None:
+                bound = min(count, frontier + leveler.writes_until_gap_move)
+            scan_end = min(bound, frontier + window)
+            if leveler is not None:
+                for local in range(fresh, scan_end):
+                    row_of[local] = self.row_for_address(int(chunk_addresses[local]))
+            scan = waiting + list(range(fresh, scan_end))
+            fresh = scan_end
+            selected: List[int] = []
+            waiting = []
+            seen = set()
+            for position, local in enumerate(scan):
+                row_index = row_of[local]
+                if row_index in seen:
+                    waiting.append(local)
+                    continue
+                seen.add(row_index)
+                selected.append(local)
+                if len(selected) == cap:
+                    waiting.extend(scan[position + 1:])
+                    break
+            lines = len(selected)
+            _OBS_WAVES.inc()
+            _OBS_WAVE_LINES.observe(lines)
+            if lines < cap:
+                if waiting:
+                    _OBS_CONFLICT_CUTS.inc()
+                if fresh == bound < count:
+                    _OBS_GAP_FLUSHES.inc()
+
+            local_indices = np.array(selected, dtype=np.intp)
+            indices = local_indices + start
+            rows = np.array([row_of[local] for local in selected], dtype=np.intp)
+            with _OBS_SPAN("replay.wave", lines=lines):
+                # ---- one gather per wave: rows, stuck knowledge, aux bits.
+                old_auxes = self._aux_store[rows]
+                wave_undo = None
+                if stop is not None:
+                    wave_undo = _WaveUndo(
+                        indices=indices,
+                        rows=rows,
+                        array_rows=array.snapshot_rows(rows),
+                        auxes=old_auxes,
+                        sense_counts=(
+                            None if self._sense_counts is None else self._sense_counts[rows]
+                        ),
+                    )
+                    undo.append(wave_undo)
+                if identity:
+                    # The stored values are the ciphertext itself whatever
+                    # the context, so only the sense count of the skipped
+                    # read-before-write advances.
+                    if self._sense_counts is not None:
+                        self._sense_counts[rows] += 1
+                    intended_rows = words_matrix_to_cells(
+                        encrypted_chunk[local_indices], self.config.word_bits, bits_per_cell
+                    ).reshape(lines, array.cells_per_row)
+                    new_auxes = None
+                else:
+                    old_rows = array.read_rows(rows)
+                    stuck_rows = self._stuck_rows(rows)
+                    sensed_rows = self._sensed_rows(old_rows, rows)
+                    contexts = [
+                        LineContext.from_rows(
+                            sensed_rows, words_per_line, bits_per_cell, stuck_rows, old_auxes, line
+                        )
+                        for line in range(lines)
+                    ]
+                    encoded = self.encoder.encode_lines(
+                        encrypted_chunk[local_indices], contexts
+                    )
+                    intended_rows = words_matrix_to_cells(
+                        np.array([line.codewords for line in encoded], dtype=np.uint64),
+                        self.config.word_bits,
+                        bits_per_cell,
+                    ).reshape(lines, array.cells_per_row)
+                    new_auxes = self._wave_aux_values(encoded)
+
+                # ---- one apply per wave; rows are distinct, so it commutes.
+                old_rows, stored_rows, _changed, _saw, newly = array.write_rows_fast(
+                    rows, intended_rows
+                )
+                replay.row_indices[indices] = rows
+                replay.newly_stuck_cells[indices] = newly
+                if new_auxes is not None:
+                    self._aux_store[rows] = new_auxes
+                if repository is not None:
+                    # observe_write is a no-op for rows whose stored cells
+                    # all match; only mismatching rows carry discoveries.
+                    for line in np.flatnonzero((stored_rows != intended_rows).any(axis=1)):
+                        row_index = int(rows[line])
+                        if wave_undo is not None:
+                            wave_undo.faults[row_index] = repository.snapshot_row(row_index)
+                        repository.observe_write(
+                            row_index, intended_rows[line], stored_rows[line]
+                        )
+                self._flush_replay_accounting(
+                    replay, indices, old_rows, stored_rows, intended_rows
+                )
+                if new_auxes is not None:
+                    self._flush_aux_energy(replay, indices, new_auxes, old_auxes)
+
+            # ---- commit the writes below the new frontier.
+            lo = frontier
+            frontier = waiting[0] if waiting else fresh
+            verdict = _ask_stop(stop, replay, start + lo, start + frontier)
+            kept = frontier if verdict is None else verdict - start + 1
+            if leveler is not None:
+                # The window never passes the next gap move, so only the
+                # last committed write can trigger it.
+                for _ in range(kept - lo):
+                    movement = leveler.record_write()
+                    if movement is not None:
+                        self._migrate_row(*movement)
+            if verdict is not None:
+                self._rollback_waves(undo, start + kept)
+                return start + kept, True
+            if undo:
+                # A wave's indices ascend; drop waves now fully committed.
+                undo = [wave for wave in undo if wave.indices[-1] >= start + frontier]
+        return end, False
+
+    def _rollback_waves(self, undo: List["_WaveUndo"], performed: int) -> None:
+        """Undo every applied write with global index ``>= performed``.
+
+        Waves are undone newest first, each restoring its rolled-back rows
+        from the state it gathered before applying them: array cells,
+        stuck masks and wear, auxiliary bits, sense counts and discovered
+        faults.  A row written by several rolled-back waves thus ends at
+        the snapshot of the oldest, i.e. right after its last kept write —
+        per-row order is the only order the wave loop keeps, and the only
+        one the row's state depends on.
+        """
+        repository = self.fault_repository
+        rolled_back = 0
+        for wave in reversed(undo):
+            lines = wave.indices >= performed
+            if not lines.any():
+                continue
+            rows = wave.rows[lines]
+            rolled_back += len(rows)
+            self.array.restore_rows(rows, wave.array_rows, lines)
+            self._aux_store[rows] = wave.auxes[lines]
+            if wave.sense_counts is not None:
+                self._sense_counts[rows] = wave.sense_counts[lines]
+            if repository is not None and wave.faults:
+                undone = set(rows.tolist())
+                for row_index, table in wave.faults.items():
+                    if row_index in undone:
+                        repository.restore_row(row_index, table)
+        _OBS_ROLLED_BACK.inc(rolled_back)
 
     def _flush_replay_accounting(
         self,
         replay: ReplayResult,
-        lo: int,
-        hi: int,
+        indices: np.ndarray,
         old_rows: np.ndarray,
         stored_rows: np.ndarray,
         intended_rows: np.ndarray,
     ) -> None:
-        """Vectorised accounting flush for applied replay writes ``[lo, hi)``.
+        """Vectorised accounting flush for the applied writes ``indices``.
 
         Energy, changed bits/cells, and SAW counts are pure functions of
         the (old, stored, intended) cell rows; row-wise NumPy reductions
-        over the buffered rows are bit-identical to the scalar path's
+        over the wave's rows are bit-identical to the scalar path's
         per-row reductions.  A stored cell differs from the intended value
         exactly at the stuck-at-wrong positions, so SAW counts fall out of
-        the xor.
+        the xor.  Entries are written once per replay into zeroed arrays.
         """
-        if lo >= hi:
-            return
-        popcount = self._bit_popcount
         bits_per_cell = self.array.bits_per_cell
-        replay.data_energy_pj[lo:hi] = self._energy_lut[old_rows, intended_rows].sum(axis=1)  # repro: allow[NUM001] reason=advanced indexing copies into a fresh C-contiguous (rows, cells) block, so the axis-1 pairwise sums match the per-row oracle (parity-locked by test_replay_parity)
-        changed = stored_rows != old_rows
-        replay.cells_changed[lo:hi] = np.count_nonzero(changed, axis=1)
-        if bits_per_cell == 1:
-            replay.bits_changed[lo:hi] = np.count_nonzero(old_rows ^ stored_rows, axis=1)
-        else:
-            replay.bits_changed[lo:hi] = popcount[old_rows ^ stored_rows].sum(axis=1)
-        wrong_xor = stored_rows ^ intended_rows
-        replay.saw_cells[lo:hi] = np.count_nonzero(wrong_xor, axis=1)
-        wrong_bits = (
-            popcount[wrong_xor]
-            if bits_per_cell == 2
-            else (wrong_xor != 0).astype(np.int64)
+        # One flat np.take per quantity: each gathered block is C-contiguous.
+        replay.data_energy_pj[indices] = np.take(
+            self._energy_lut.ravel(), (old_rows << bits_per_cell) | intended_rows
+        ).sum(axis=1)
+        flips = old_rows ^ stored_rows
+        cells_changed = np.count_nonzero(flips, axis=1)
+        replay.cells_changed[indices] = cells_changed
+        replay.bits_changed[indices] = (
+            cells_changed
+            if bits_per_cell == 1
+            else np.take(self._bit_popcount, flips).sum(axis=1)
         )
-        replay.saw_bits_per_word[lo:hi] = wrong_bits.reshape(
-            hi - lo, self.config.words_per_line, -1
-        ).sum(axis=2)
-
-    def _replay_generic(
-        self,
-        replay: ReplayResult,
-        plaintext_for: Callable[[int], List[int]],
-        addresses: np.ndarray,
-        encrypted_chunk: Optional[np.ndarray],
-        start: int,
-        end: int,
-        stop: Optional[ReplayStop],
-    ):
-        """Replay path for arbitrary encoders over writes [start, end).
-
-        Wave execution: the chunk is partitioned into runs of writes
-        targeting *distinct* rows.  Within such a wave no write can observe
-        another's row, stuck mask, or auxiliary bits, so the old-cell state
-        of every line is gathered up front in one
-        :meth:`repro.pcm.array.PCMArray.read_rows` call and all lines are
-        encoded through a single :meth:`repro.coding.base.Encoder.encode_lines`
-        call — the selected codewords are bit-identical to encoding at each
-        write's turn.  A write to a row already queued in the wave starts
-        the next wave, and with Start-Gap wear leveling a wave never spans
-        a gap migration (the mapping rotation and the migration write land
-        strictly after the wave's last write).  The writes themselves then
-        apply sequentially through the array's stuck/wear semantics, with
-        the per-write accounting flushed wave-at-a-time by the same
-        vectorised reductions as the identity fast path.  Returns
-        ``(performed, stopped)`` like :meth:`_replay_identity`.
-
-        ``plaintext_for`` supplies the plaintext word list of one write for
-        the scalar-encryption fallback (odd word widths, where no batched
-        ciphertext chunk exists and :meth:`_replay_generic_scalar` runs
-        instead).
-        """
-        if encrypted_chunk is None:
-            _OBS_SCALAR_FALLBACKS.inc()
-            return self._replay_generic_scalar(
-                replay, plaintext_for, addresses, start, end, stop
+        wrong = stored_rows ^ intended_rows
+        saw_cells = np.count_nonzero(wrong, axis=1)
+        replay.saw_cells[indices] = saw_cells
+        # Per-word wrong bits stay at their zeroed entries unless the
+        # write left a stuck-at-wrong cell.
+        hit = np.flatnonzero(saw_cells)
+        if hit.size:
+            wrong = wrong[hit]
+            wrong_bits = (
+                np.take(self._bit_popcount, wrong)
+                if bits_per_cell == 2
+                else (wrong != 0).astype(np.int64)
             )
-        array = self.array
-        leveler = self.wear_leveler
-        repository = self.fault_repository
-        words_per_line = self.config.words_per_line
-        bits_per_cell = array.bits_per_cell
-        popcount = self._bit_popcount
-        zero_saw_bits = np.zeros(words_per_line, dtype=np.int64)
-        np.copyto(replay.addresses[start:end], addresses[start:end])
-        # Without wear leveling the address-to-row mapping is fixed, so the
-        # whole chunk's rows are computed in one vectorised modulo.
-        row_lookup = (
-            None if leveler is not None else (addresses[start:end] % array.rows).tolist()
-        )
-
-        index = start
-        performed = start
-        stopped = False
-        while index < end and not stopped:
-            # ---- wave selection: a maximal run of writes to distinct rows.
-            limit = min(end - index, self.replay_wave_lines)
-            gap_capped = False
-            if leveler is not None:
-                # The next gap migration rewrites a row and rotates the
-                # mapping; capping the wave at the write that triggers it
-                # keeps the migration strictly after the wave's last write.
-                until_gap = leveler.writes_until_gap_move
-                if until_gap < limit:
-                    limit = until_gap
-                    gap_capped = True
-            rows: List[int] = []
-            seen = set()
-            scan = index
-            while scan < end and len(rows) < limit:
-                if row_lookup is not None:
-                    row_index = row_lookup[scan - start]
-                else:
-                    row_index = self.row_for_address(int(addresses[scan]))
-                if row_index in seen:
-                    break
-                seen.add(row_index)
-                rows.append(row_index)
-                scan += 1
-            count = len(rows)
-            row_array = np.asarray(rows, dtype=np.intp)
-            _OBS_WAVES.inc()
-            _OBS_WAVE_LINES.observe(count)
-            if scan < end and count < limit:
-                _OBS_CONFLICT_CUTS.inc()
-            elif gap_capped and count == limit:
-                _OBS_GAP_FLUSHES.inc()
-
-            with _OBS_SPAN("replay.wave", lines=count):
-                # ---- one gather per wave: rows, stuck knowledge, aux bits.
-                old_rows = array.read_rows(row_array)
-                stuck_rows = self._stuck_rows(row_array)
-                old_auxes = self._aux_store[row_array]
-                sensed_rows = self._sensed_rows(old_rows, rows)
-                contexts = [
-                    LineContext.from_rows(
-                        sensed_rows, words_per_line, bits_per_cell, stuck_rows, old_auxes, line
-                    )
-                    for line in range(count)
-                ]
-                encoded = self.encoder.encode_lines(
-                    encrypted_chunk[index - start: scan - start], contexts
-                )
-                intended_rows = words_matrix_to_cells(
-                    np.array([line.codewords for line in encoded], dtype=np.uint64),
-                    self.config.word_bits,
-                    bits_per_cell,
-                ).reshape(count, array.cells_per_row)
-                new_auxes = self._wave_aux_values(encoded)
-                replay.row_indices[index:scan] = rows
-
-                if stop is None and leveler is None:
-                    # ---- whole-wave apply: with no early-stop predicate and no
-                    # gap migrations pending, the distinct-row writes commute
-                    # into one fancy-index scatter (write_rows_fast is
-                    # bit-identical to looping write_row_fast in order).
-                    _old, stored_rows, _changed, _saw, newly = array.write_rows_fast(
-                        row_array, intended_rows
-                    )
-                    self._aux_store[row_array] = new_auxes
-                    replay.newly_stuck_cells[index:scan] = newly
-                    if repository is not None:
-                        # observe_write is a no-op for rows whose stored cells
-                        # all match; only mismatching rows carry discoveries.
-                        for line in np.nonzero((stored_rows != intended_rows).any(axis=1))[0]:
-                            repository.observe_write(
-                                rows[line], intended_rows[line], stored_rows[line]
-                            )
-                    applied = count
-                    performed = scan
-                    self._flush_replay_accounting(
-                        replay, index, performed, old_rows, stored_rows, intended_rows
-                    )
-                    self._flush_aux_energy(replay, index, performed, new_auxes, old_auxes)
-                    index = scan
-                    continue
-
-                # ---- apply sequentially; accounting flushes once per wave.
-                stored_rows = np.empty_like(old_rows)
-                write_row_fast = array.write_row_fast
-                applied = 0
-                for line in range(count):
-                    index_global = index + line
-                    row_index = rows[line]
-                    intended = intended_rows[line]
-                    _old, stored, _changed, saw_mask, newly_stuck = write_row_fast(
-                        row_index, intended
-                    )
-                    stored_rows[line] = stored
-                    self._aux_store[row_index] = new_auxes[line]
-                    replay.newly_stuck_cells[index_global] = newly_stuck
-                    if repository is not None:
-                        repository.observe_write(row_index, intended, stored)
-                    if leveler is not None:
-                        movement = leveler.record_write()
-                        if movement is not None:
-                            self._migrate_row(*movement)
-                    applied = line + 1
-                    performed = index_global + 1
-                    if stop is not None:
-                        saw_count = int(saw_mask.sum())
-                        if saw_count:
-                            wrong = stored ^ intended
-                            saw_bits = (
-                                popcount[wrong]
-                                if bits_per_cell == 2
-                                else (wrong != 0).astype(np.int64)
-                            ).reshape(words_per_line, -1).sum(axis=1)
-                        else:
-                            saw_bits = zero_saw_bits
-                        if stop(index_global, int(row_index), saw_count, saw_bits):
-                            stopped = True
-                            break
-                self._flush_replay_accounting(
-                    replay,
-                    index,
-                    performed,
-                    old_rows[:applied],
-                    stored_rows[:applied],
-                    intended_rows[:applied],
-                )
-                self._flush_aux_energy(
-                    replay, index, performed, new_auxes[:applied], old_auxes[:applied]
-                )
-                index = scan
-        return performed, stopped
+            replay.saw_bits_per_word[indices[hit]] = wrong_bits.reshape(
+                len(hit), self.config.words_per_line, -1
+            ).sum(axis=2)
 
     def _wave_aux_values(self, encoded_lines: List[EncodedLine]) -> np.ndarray:
         """The wave's auxiliary values as a ``(lines, words)`` aux-store block."""
@@ -1010,31 +1023,28 @@ class MemoryController:
     def _flush_aux_energy(
         self,
         replay: ReplayResult,
-        lo: int,
-        hi: int,
+        indices: np.ndarray,
         new_auxes: np.ndarray,
         old_auxes: np.ndarray,
     ) -> None:
-        """Auxiliary-bit write energy for applied wave writes ``[lo, hi)``.
+        """Auxiliary-bit write energy for the applied writes ``indices``.
 
         Charges the bits that changed between the stored and the new
         auxiliary values, exactly as :meth:`_apply_line_write` does per
         write (same popcounts, same float multiply).
         """
-        if lo >= hi:
-            return
         if self._wide_aux:
-            for line in range(hi - lo):
+            for line, index in enumerate(indices):
                 changed = sum(
                     bin(int(new) ^ int(old)).count("1")
                     for new, old in zip(new_auxes[line], old_auxes[line])
                 )
-                replay.aux_energy_pj[lo + line] = self._aux_bit_energy * changed
+                replay.aux_energy_pj[index] = self._aux_bit_energy * changed
             return
         changed = popcount64_array(
             new_auxes.astype(np.uint64) ^ old_auxes.astype(np.uint64)
         ).sum(axis=1)
-        replay.aux_energy_pj[lo:hi] = self._aux_bit_energy * changed
+        replay.aux_energy_pj[indices] = self._aux_bit_energy * changed
 
     def _sensed_view(self, old_row: np.ndarray, row_index: int) -> np.ndarray:
         """The old-row state the encoder observes for one read-before-write.
@@ -1074,7 +1084,7 @@ class MemoryController:
         sensed[positions] ^= 1
         return sensed
 
-    def _sensed_rows(self, old_rows: np.ndarray, rows: List[int]) -> np.ndarray:
+    def _sensed_rows(self, old_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Wave sibling of :meth:`_sensed_view` over distinct rows.
 
         Rows within a wave are pairwise distinct, so perturbing each
@@ -1085,7 +1095,7 @@ class MemoryController:
         if self._sense_counts is None:
             return old_rows
         sensed = old_rows.copy()
-        for line, row_index in enumerate(rows):
+        for line, row_index in enumerate(rows.tolist()):
             sensed[line] = self._sensed_view(old_rows[line], row_index)
         return sensed
 
@@ -1099,7 +1109,7 @@ class MemoryController:
             )
         return None
 
-    def _replay_generic_scalar(
+    def _replay_scalar(
         self,
         replay: ReplayResult,
         plaintext_for: Callable[[int], List[int]],
@@ -1107,15 +1117,15 @@ class MemoryController:
         start: int,
         end: int,
         stop: Optional[ReplayStop],
-    ):
-        """Per-write fallback of :meth:`_replay_generic` (odd word widths).
+    ) -> Tuple[int, bool]:
+        """Per-write fallback of :meth:`_replay_waves` (odd word widths).
 
         Runs when no batched ciphertext chunk exists; each write encrypts
-        scalar-wise and runs the identical :meth:`_apply_line_write` core.
+        scalar-wise, runs the identical :meth:`_apply_line_write` core and
+        commits at once, so the ``stop`` rule sees one-write blocks.
         """
+        _OBS_SCALAR_FALLBACKS.inc()
         encryption = self.encryption
-        performed = start
-        stopped = False
         for index in range(start, end):
             words = plaintext_for(index)
             if encryption is not None:
@@ -1143,12 +1153,9 @@ class MemoryController:
             replay.saw_cells[index] = saw_count
             replay.saw_bits_per_word[index] = saw_bits
             replay.newly_stuck_cells[index] = newly_stuck
-
-            performed = index + 1
-            if stop is not None and stop(index, row_index, saw_count, saw_bits):
-                stopped = True
-                break
-        return performed, stopped
+            if _ask_stop(stop, replay, index, index + 1) is not None:
+                return index + 1, True
+        return end, False
 
     # -------------------------------------------------------- random lines
     def write_random_lines(
@@ -1165,8 +1172,7 @@ class MemoryController:
         with the *exact same generator call sequence* — so the addresses
         and words are bit-identical to the scalar loop's — and driven
         through :meth:`replay_trace`'s internals: chunked counter-mode
-        pads, the identity-encoder fast path for the unencoded baselines,
-        and per-write accounting in the preallocated arrays of a
+        pads, the wave loop, and per-write accounting in the arrays of a
         :class:`ReplayResult`.  Controller state (array contents,
         encryption counters, auxiliary bits, wear) after the call matches
         the scalar sequence exactly, so scalar and batched drives can
@@ -1191,14 +1197,14 @@ class MemoryController:
         if address_space <= 0:
             raise ConfigurationError("address_space must be positive")
         words_per_line = self.config.words_per_line
-        replay = ReplayResult.empty(num_lines, words_per_line)
+        replay = ReplayResult.empty(0, words_per_line)
         if num_lines == 0:
             return replay._trim(0, False)
 
-        # Chunked like replay_trace: pads and cell conversions are only
-        # produced for a bounded window of writes at a time, with the same
-        # geometric ramp.  There is no early-stop predicate here (the
-        # random-line studies always run to completion), so no counter
+        # Chunked like replay_trace: pads, cell conversions and result
+        # arrays are only produced for a bounded window of writes at a
+        # time, with the same geometric ramp.  There is no early-stop rule
+        # here (the random-line studies always run to completion), so no
         # rollback is ever needed.
         addresses = np.empty(num_lines, dtype=np.int64)
         chunk = 512
@@ -1207,6 +1213,7 @@ class MemoryController:
         while start < num_lines:
             end = min(start + chunk, num_lines)
             chunk = min(chunk * 2, 8192)
+            replay._reserve(end, num_lines)
             chunk_addresses, plaintext = self._draw_random_lines(
                 rng, end - start, address_space
             )
@@ -1219,16 +1226,16 @@ class MemoryController:
                     encrypted_chunk = self.encryption.encrypt_lines(
                         chunk_addresses, plaintext
                     )
-            if encrypted_chunk is not None and self.encoder.is_identity:
-                performed, _ = self._replay_identity(
+            if encrypted_chunk is not None:
+                performed, _ = self._replay_waves(
                     replay, addresses, encrypted_chunk, start, end, None
                 )
             else:
                 def plaintext_for(index: int, _base=start, _rows=plaintext) -> List[int]:
                     return [int(word) for word in _rows[index - _base]]
 
-                performed, _ = self._replay_generic(
-                    replay, plaintext_for, addresses, encrypted_chunk, start, end, None
+                performed, _ = self._replay_scalar(
+                    replay, plaintext_for, addresses, start, end, None
                 )
             start = end
         replay._trim(performed, False)

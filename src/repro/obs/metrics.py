@@ -10,7 +10,7 @@ metrics once at import time and holds on to the returned handle::
 
     _OBS_WAVES = obs.counter("replay.waves", "encode waves executed")
 
-    def _replay_generic(...):
+    def _replay_waves(...):
         _OBS_WAVES.inc()
 
 Handles are registered in the process-local :data:`REGISTRY` keyed by

@@ -21,7 +21,7 @@ intended cell values could not be stored (stuck-at-wrong, SAW).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.utils.validation import require, require_divisible
 if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.faults imports repro.pcm
     from repro.faults.models import FaultModel
 
-__all__ = ["PCMArray", "RowWriteResult", "word_to_cells", "cells_to_word"]
+__all__ = ["PCMArray", "RowSnapshot", "RowWriteResult", "word_to_cells", "cells_to_word"]
 
 
 def word_to_cells(word: int, word_bits: int, bits_per_cell: int) -> np.ndarray:
@@ -115,6 +115,17 @@ class RowWriteResult:
     def saw_count(self) -> int:
         """Number of stuck-at-wrong cells produced by this write."""
         return int(self.saw_mask.sum())
+
+
+class RowSnapshot(NamedTuple):
+    """Saved state of several rows (see :meth:`PCMArray.snapshot_rows`).
+
+    ``wear`` is ``None`` when the array tracks no wear (snapshot mode).
+    """
+
+    cells: np.ndarray
+    stuck: np.ndarray
+    wear: Optional[np.ndarray]
 
 
 class PCMArray:
@@ -353,13 +364,48 @@ class PCMArray:
             exceeded = (~stuck) & (wear >= self._endurance[row_indices])
             newly_stuck = exceeded.sum(axis=1)
             if newly_stuck.any():
-                self._stuck[row_indices] = stuck | exceeded
+                stuck = stuck | exceeded
+                self._stuck[row_indices] = stuck
         else:
             newly_stuck = np.zeros(len(row_indices), dtype=np.int64)
 
         self._cells[row_indices] = stored
-        saw_mask = self._stuck[row_indices] & (stored != intended)
+        saw_mask = stuck & (stored != intended)
         return old, stored, changed, saw_mask, newly_stuck
+
+    def snapshot_rows(self, row_indices: np.ndarray) -> RowSnapshot:
+        """Copies of everything a write may change on several rows.
+
+        Returns the cells, stuck masks and (in lifetime mode) wear counters
+        of ``row_indices``; :meth:`restore_rows` puts them back.  The
+        memory controller takes one per replay wave so writes past an
+        early stop can be undone exactly.
+        """
+        indices = self._check_rows(row_indices)
+        return RowSnapshot(
+            cells=self._cells[indices],
+            stuck=self._stuck[indices],
+            wear=None if self._wear is None else self._wear[indices],
+        )
+
+    def restore_rows(
+        self,
+        row_indices: np.ndarray,
+        snapshot: RowSnapshot,
+        lines: Optional[np.ndarray] = None,
+    ) -> None:
+        """Put back the state a :meth:`snapshot_rows` call took.
+
+        ``row_indices`` names pairwise-distinct rows matching the selected
+        snapshot entries: all of them, or those picked by the optional
+        index/boolean selector ``lines``.
+        """
+        indices = self._check_rows(row_indices)
+        pick = slice(None) if lines is None else lines
+        self._cells[indices] = snapshot.cells[pick]
+        self._stuck[indices] = snapshot.stuck[pick]
+        if self._wear is not None and snapshot.wear is not None:
+            self._wear[indices] = snapshot.wear[pick]
 
     def write_word(self, row_index: int, word_index: int, word: int) -> RowWriteResult:
         """Write a single word, leaving the rest of the row untouched."""

@@ -89,6 +89,22 @@ class FaultRepository:
             discovered += 1
         return discovered
 
+    def snapshot_row(self, row_index: int) -> Optional[Dict[int, int]]:
+        """A copy of one row's table (``None`` when nothing is tracked)."""
+        table = self._known.get(row_index)
+        return None if table is None else dict(table)
+
+    def restore_row(self, row_index: int, table: Optional[Dict[int, int]]) -> None:
+        """Put back a table :meth:`snapshot_row` returned.
+
+        ``dropped_faults`` is left alone; a caller undoing writes that
+        dropped faults subtracts their count itself.
+        """
+        if table is None:
+            self._known.pop(row_index, None)
+        else:
+            self._known[row_index] = dict(table)
+
     # --------------------------------------------------------------- access
     def known_faults(self, row_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(positions, stuck_values)`` discovered for one row."""

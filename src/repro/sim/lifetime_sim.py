@@ -28,11 +28,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.spec import Task
 from repro.campaign.store import ResultStore
 from repro.campaign.tasks import register_task
 from repro.errors import ConfigurationError, SimulationError
+from repro.memctrl.controller import ReplayStop
 from repro.pcm.cell import CellTechnology
 from repro.pcm.endurance import EnduranceModel
 from repro.sim.harness import TechniqueSpec, build_controller, make_read_corrector
@@ -49,6 +52,7 @@ __all__ = [
     "lifetime_study_tasks",
     "mean_lifetime_by_coset_count",
     "mean_lifetime_tasks",
+    "nth_failed_row",
     "simulate_lifetime",
 ]
 
@@ -113,6 +117,30 @@ class LifetimeOutcome:
     censored: bool
 
 
+def nth_failed_row(spec: TechniqueSpec, limit: int, line_bits: int) -> ReplayStop:
+    """Lifetime stop rule: the write that fails the ``limit``-th distinct row.
+
+    Returns a :data:`~repro.memctrl.controller.ReplayStop` callable.  A
+    write with no stuck-at-wrong cells can never fail a row under any of
+    the correctors, so each committed block is scanned only at its writes
+    with ``saw_cells > 0``.
+    """
+    failed_rows: set = set()
+
+    def stop(lo: int, row_indices, saw_cells, saw_bits_per_word) -> Optional[int]:
+        for offset in np.flatnonzero(saw_cells).tolist():
+            row_index = int(row_indices[offset])
+            if row_index in failed_rows:
+                continue
+            if _row_failure(spec, saw_bits_per_word[offset], line_bits):
+                failed_rows.add(row_index)
+                if len(failed_rows) >= limit:
+                    return lo + offset
+        return None
+
+    return stop
+
+
 def simulate_lifetime(
     spec: TechniqueSpec,
     benchmark: str,
@@ -134,9 +162,9 @@ def simulate_lifetime(
 
     The replay runs through the batched
     :meth:`~repro.memctrl.controller.MemoryController.replay_trace` engine
-    with an early-stop predicate, so the write sequence (and therefore the
-    lifetime) is bit-identical to the historical scalar loop while only
-    the writes actually needed are paid for.
+    with the :func:`nth_failed_row` stop rule, so the write sequence (and
+    therefore the lifetime) is bit-identical to the historical scalar loop
+    while only the writes actually needed are paid for.
     """
     seed = derive_seed(config.seed + seed_offset, f"lifetime-{benchmark}")
     endurance = EnduranceModel(
@@ -164,21 +192,7 @@ def simulate_lifetime(
     if len(trace) == 0:
         raise SimulationError("lifetime simulation needs a non-empty trace")
 
-    failed_rows: set = set()
-    limit = config.failed_rows_limit
-    line_bits = config.line_bits
-
-    def stop(index: int, row_index: int, saw_cells: int, saw_bits_per_word) -> bool:
-        # A write with no residual wrong bits can never fail a row under
-        # any of the correctors, so the predicate short-circuits on the
-        # saw-cell count the replay engine already has at hand.
-        if saw_cells == 0 or row_index in failed_rows:
-            return False
-        if _row_failure(spec, saw_bits_per_word, line_bits):
-            failed_rows.add(row_index)
-            return len(failed_rows) >= limit
-        return False
-
+    stop = nth_failed_row(spec, config.failed_rows_limit, config.line_bits)
     repetitions = -(-config.max_line_writes // len(trace))
     replay = controller.replay_trace(
         trace,

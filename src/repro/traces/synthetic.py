@@ -139,12 +139,37 @@ class SyntheticTraceGenerator:
         choice = int(self._rng.integers(0, 4))
         return self._word_for_model(["integer", "float", "pointer", "text"][choice])
 
-    def _line_words(self) -> List[int]:
+    def _trace_words(self, num_writebacks: int) -> List[List[int]]:
+        """The data words of a whole trace, one list per writeback.
+
+        Value models are defined at 64-bit granularity; narrower trace
+        words keep the low-order bytes.  ``float``, ``pointer`` and
+        ``text`` draw every word of the trace in one generator call, which
+        numpy fills in the same order as one call per word, so values and
+        generator state match the per-word draws exactly; ``integer`` and
+        ``mixed`` pick their next draw from the previous one and stay
+        per-word.
+        """
         model = self.profile.value_model
-        # Value models are defined at 64-bit granularity; narrower trace
-        # words keep the low-order bytes.
-        mask = (1 << self.word_bits) - 1
-        return [self._word_for_model(model) & mask for _ in range(self.words_per_line)]
+        count = num_writebacks * self.words_per_line
+        if model == "float":
+            # Doubles drawn from a narrow range share exponent bits.
+            words = self._rng.normal(loc=1.0, scale=0.25, size=count).view(np.uint64)
+        elif model == "pointer":
+            # 8-byte aligned heap addresses sharing a 32-bit base.
+            offsets = self._rng.integers(0, 1 << 28, size=count) & ~0x7
+            words = np.uint64(0x00007F3A00000000) | offsets.astype(np.uint64)
+        elif model == "text":
+            letters = self._rng.integers(0x20, 0x7F, size=(count, 8)).astype(np.uint64)
+            shifts = np.arange(56, -8, -8, dtype=np.uint64)
+            words = np.bitwise_or.reduce(letters << shifts, axis=1)
+        else:
+            words = np.array(
+                [self._word_for_model(model) for _ in range(count)], dtype=np.uint64
+            )
+        if self.word_bits < 64:
+            words &= np.uint64((1 << self.word_bits) - 1)
+        return words.reshape(num_writebacks, self.words_per_line).tolist()
 
     # ------------------------------------------------------------- generate
     def generate(self, num_writebacks: int) -> Trace:
@@ -161,9 +186,11 @@ class SyntheticTraceGenerator:
                 "seed": self.seed,
             },
         )
-        addresses = self._draw_addresses(num_writebacks) if num_writebacks else []
-        for address in addresses:
-            trace.append(WritebackRecord(address=int(address), words=tuple(self._line_words())))
+        if num_writebacks == 0:
+            return trace
+        addresses = self._draw_addresses(num_writebacks).tolist()
+        for address, words in zip(addresses, self._trace_words(num_writebacks)):
+            trace.append(WritebackRecord(address=address, words=tuple(words)))
         return trace
 
 

@@ -244,7 +244,27 @@ class TestCandidateCounter:
             # RCC scores every coset of every line.
             expected = LINES * NUM_COSETS
         else:
-            # VCC counts its 2r XOR/XNOR kernel forms once per call, not
-            # per line (the stacked batch is scored as a single line).
-            expected = 2 * encoder.config.num_kernels
+            # VCC scores the 2r XOR/XNOR kernel forms of every line.
+            expected = LINES * 2 * encoder.config.num_kernels
         assert counter.value - before == expected
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["gemm", "fallback"])
+    @pytest.mark.parametrize("name", ENCODERS + ("fnw",))
+    def test_count_independent_of_wave_shape(self, name, exact):
+        """One call over LINES lines counts what LINES one-line calls do."""
+        technology = CellTechnology.MLC
+        rng = make_rng(7, f"exact-counter-shape-{name}")
+        cost = saw_then_energy(technology) if exact else _non_integer_energy(technology)
+        encoder = make_encoder(
+            name, num_cosets=NUM_COSETS, technology=technology, cost_function=cost
+        )
+        contexts = _contexts(rng, encoder, technology)
+        words = _words(rng)
+        counter = obs.counter("encode.candidates")
+        before = counter.value
+        encoder.encode_lines(words, contexts)
+        batched = counter.value - before
+        before = counter.value
+        for line in range(LINES):
+            encoder.encode_lines(words[line: line + 1], contexts[line: line + 1])
+        assert counter.value - before == batched > 0

@@ -56,6 +56,11 @@ def _drive_scalar(controller, trace, repetitions):
     return results
 
 
+def stop_at(last):
+    """Block stop rule that ends the replay after write ``last``."""
+    return lambda lo, rows, saw, bits: last if lo <= last < lo + len(rows) else None
+
+
 def assert_parity(scalar_results, replay):
     assert replay.writes == len(scalar_results)
     for index, line in enumerate(scalar_results):
@@ -172,9 +177,7 @@ class TestReplayParity:
         for record in list(trace)[:cut]:
             scalar.write_line(record.address, list(record.words))
         replayed = _controller(name, CellTechnology.MLC)
-        result = replayed.replay_trace(
-            trace, repetitions=2, stop=lambda index, row, saw, bits: index == cut - 1
-        )
+        result = replayed.replay_trace(trace, repetitions=2, stop=stop_at(cut - 1))
         assert result.writes == cut
         for record in trace:
             address = record.address
@@ -192,9 +195,7 @@ class TestReplayControls:
     def test_early_stop_truncates_and_flags(self):
         trace = _trace()
         controller = _controller("unencoded", CellTechnology.MLC)
-        replay = controller.replay_trace(
-            trace, repetitions=5, stop=lambda index, row, saw, bits: index == 7
-        )
+        replay = controller.replay_trace(trace, repetitions=5, stop=stop_at(7))
         assert replay.writes == 8
         assert replay.stopped_early
         assert len(replay.addresses) == 8
@@ -204,14 +205,17 @@ class TestReplayControls:
         trace = _trace()
         controller = _controller("unencoded", CellTechnology.MLC)
         seen = []
-        controller.replay_trace(
-            trace,
-            repetitions=2,
-            stop=lambda index, row, saw, bits: seen.append((index, row, saw)) or False,
-        )
+
+        def record(lo, rows, saw, bits):
+            seen.extend(zip(range(lo, lo + len(rows)), rows.tolist(), saw.tolist()))
+            return None
+
+        replay = controller.replay_trace(trace, repetitions=2, stop=record)
         replay_writes = len(seen)
         assert replay_writes == 2 * len(trace)
         assert [entry[0] for entry in seen] == list(range(replay_writes))
+        assert [entry[1] for entry in seen] == replay.row_indices.tolist()
+        assert [entry[2] for entry in seen] == replay.saw_cells.tolist()
 
     def test_max_writes_caps_partial_repetition(self):
         trace = _trace()

@@ -1,11 +1,12 @@
-"""Wave-partitioned generic replay: conflicts, gap flushes, batch shapes.
+"""Wave-partitioned replay: conflicts, gap flushes, batch shapes.
 
-The wave engine of :meth:`MemoryController._replay_generic` batches queued
-writes targeting distinct rows into one ``encode_lines`` call.  These
-tests pin the scheduling contracts the parity suite alone would not catch
-red-handed: a repeated row must split the wave, a Start-Gap migration must
-land on a wave's last write, and the batches the encoder sees must follow
-exactly those rules.
+The wave loop of :meth:`MemoryController._replay_waves` batches queued
+writes targeting distinct rows into one ``encode_lines`` call, hopping
+writes whose row has an earlier queued write.  These tests pin the
+scheduling contracts the parity suite alone would not catch red-handed:
+a wave never holds two writes to one row, every row sees its writes in
+order, a wave never spans a Start-Gap migration, and the batches the
+encoder sees follow exactly those rules.
 """
 
 from typing import List
@@ -91,6 +92,32 @@ def _spy_batches(controller) -> List[int]:
     return batches
 
 
+def _spy_wave_applies(controller):
+    """Record the rows and intended cells of every wave apply, in order."""
+    applies = []
+    original = controller.array.write_rows_fast
+
+    def spy(rows, intended):
+        applies.append((np.asarray(rows).tolist(), np.array(intended)))
+        return original(rows, intended)
+
+    controller.array.write_rows_fast = spy
+    return applies
+
+
+def _spy_row_writes(controller):
+    """Map each row to the intended cells of its scalar writes, in order."""
+    per_row = {}
+    original = controller.array.write_row
+
+    def spy(row, intended):
+        per_row.setdefault(int(row), []).append(np.array(intended))
+        return original(row, intended)
+
+    controller.array.write_row = spy
+    return per_row
+
+
 class TestRowConflicts:
     def test_same_row_trace_parity(self):
         """Every write hits one row: waves must degrade to single writes."""
@@ -115,12 +142,27 @@ class TestRowConflicts:
     def test_wave_batches_respect_conflicts(self):
         addresses = [0, 1, 2, 3, 1, 4, 5, 6, 7, 8]
         trace = _conflict_trace(addresses)
+        scalar = _controller()
+        scalar_per_row = _spy_row_writes(scalar)
+        _drive_scalar(scalar, trace, repetitions=1)
         controller = _controller()
         batches = _spy_batches(controller)
+        applies = _spy_wave_applies(controller)
         controller.replay_trace(trace, repetitions=1)
-        # First wave ends before the repeated row 1: [0,1,2,3] then [1,4,...].
-        assert batches[0] == 4
         assert sum(batches) == len(addresses)
+        # The first wave hops the repeated row 1 instead of ending before it.
+        assert batches[0] > 4
+        per_row = {}
+        for rows, intended in applies:
+            # A wave never holds two writes to one row ...
+            assert len(set(rows)) == len(rows)
+            for row, cells in zip(rows, intended):
+                per_row.setdefault(row, []).append(cells)
+        # ... and every row receives its writes in trace order.
+        assert per_row.keys() == scalar_per_row.keys()
+        for row, writes in scalar_per_row.items():
+            assert len(per_row[row]) == len(writes)
+            assert all(np.array_equal(a, b) for a, b in zip(per_row[row], writes))
 
     def test_distinct_rows_form_one_wave(self):
         addresses = list(range(ROWS))
@@ -213,7 +255,9 @@ class TestStopMidWave:
             scalar.write_line(record.address, list(record.words))
         replayed = _controller()
         replay = replayed.replay_trace(
-            trace, repetitions=2, stop=lambda index, row, saw, bits: index == cut - 1
+            trace,
+            repetitions=2,
+            stop=lambda lo, rows, saw, bits: cut - 1 if lo <= cut - 1 < lo + len(rows) else None,
         )
         assert replay.writes == cut
         assert replay.stopped_early

@@ -188,3 +188,47 @@ class TestValidation:
     def test_word_bits_must_hold_cells(self):
         with pytest.raises(ConfigurationError):
             PCMArray(rows=1, row_bits=66, word_bits=33, technology=CellTechnology.MLC)
+
+
+class TestRowSnapshots:
+    def _array(self, **kwargs):
+        return PCMArray(
+            rows=6,
+            row_bits=512,
+            technology=CellTechnology.MLC,
+            endurance_model=EnduranceModel(mean_writes=3, coefficient_of_variation=0.3),
+            seed=4,
+            **kwargs,
+        )
+
+    def test_restore_undoes_writes(self):
+        array = self._array()
+        rows = np.array([4, 1, 2])
+        cells, stuck, wear = (array._cells.copy(), array._stuck.copy(), array._wear.copy())
+        snapshot = array.snapshot_rows(rows)
+        rng = np.random.default_rng(1)
+        for _ in range(6):  # enough state changes to wear cells out
+            array.write_rows_fast(rows, rng.integers(0, 4, size=(3, 256)).astype(np.uint8))
+        assert array.stuck_cell_count() > int(stuck.sum())
+        array.restore_rows(rows, snapshot)
+        assert np.array_equal(array._cells, cells)
+        assert np.array_equal(array._stuck, stuck)
+        assert np.array_equal(array._wear, wear)
+
+    def test_restore_selected_lines_only(self):
+        array = self._array()
+        rows = np.array([0, 3])
+        snapshot = array.snapshot_rows(rows)
+        before = array.read_rows(rows)
+        array.write_rows_fast(rows, (before + 1) % 4)
+        array.restore_rows(rows[[1]], snapshot, np.array([False, True]))
+        assert np.array_equal(array.read_row(3), before[1])
+        assert np.array_equal(array.read_row(0), (before[0] + 1) % 4)
+
+    def test_snapshot_without_wear(self):
+        array = PCMArray(rows=4, row_bits=512, technology=CellTechnology.MLC, seed=1)
+        snapshot = array.snapshot_rows(np.array([2]))
+        assert snapshot.wear is None
+        array.write_row(2, np.zeros(256, dtype=np.uint8))
+        array.restore_rows(np.array([2]), snapshot)
+        assert np.array_equal(array.read_row(2), snapshot.cells[0])

@@ -81,3 +81,27 @@ class TestValidation:
         repo = FaultRepository(rows=2, cells_per_row=4)
         with pytest.raises(ConfigurationError):
             repo.observe_write(0, np.zeros(3), np.zeros(4))
+
+
+class TestRowSnapshots:
+    def test_restore_row_undoes_discoveries(self):
+        repo = FaultRepository(rows=4, cells_per_row=8)
+        intended = np.zeros(8, dtype=np.uint8)
+        stored = intended.copy()
+        stored[2] = 1
+        repo.observe_write(1, intended, stored)
+        saved = repo.snapshot_row(1)
+        stored[5] = 1
+        repo.observe_write(1, intended, stored)
+        assert repo.total_known_faults() == 2
+        repo.restore_row(1, saved)
+        assert repo.known_faults(1)[0].tolist() == [2]
+
+    def test_restore_empty_row(self):
+        repo = FaultRepository(rows=4, cells_per_row=8)
+        saved = repo.snapshot_row(3)
+        assert saved is None
+        stored = np.ones(8, dtype=np.uint8)
+        repo.observe_write(3, np.zeros(8, dtype=np.uint8), stored)
+        repo.restore_row(3, saved)
+        assert repo.rows_with_faults() == 0
