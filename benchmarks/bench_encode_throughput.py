@@ -1,12 +1,14 @@
-"""Micro-benchmark: line-encoding throughput, scalar vs. batched path.
+"""Micro-benchmark: one-line encoding throughput, scalar vs. batched kernel.
 
-Measures lines/second for every registry encoder through the two
-implementations of the line API:
+Measures lines/second for every registry encoder, one line per call,
+through the two implementations of the line API:
 
 * **scalar** — :meth:`Encoder.encode_line_scalar`, the word-at-a-time
-  reference loop (the seed repository's only path);
-* **batch** — :meth:`Encoder.encode_line`, the vectorised hot path the
-  memory controller drives.
+  reference loop over the paper's word-level ``encode``;
+* **batch** — :meth:`Encoder.encode_line`, which is the encoder's one
+  vectorised kernel, ``encode_lines``, called on a single line.  The
+  memory controller's replay waves call the same kernel on many lines at
+  once (``bench_encode_batch.py`` measures that path).
 
 Run directly for a table::
 
@@ -69,7 +71,7 @@ def _one_trial(encode, context, lines, min_seconds: float) -> float:
 
 
 def measure(name: str, min_seconds: float = 0.1, trials: int = 3) -> Tuple[float, float]:
-    """Return (scalar lines/s, batch lines/s) for one registry encoder.
+    """Return (scalar lines/s, one-line batch lines/s) for one registry encoder.
 
     Scalar and batch trials are interleaved and the best of each is kept,
     so CPU frequency drift and scheduler noise hit both paths alike.
@@ -93,7 +95,7 @@ def run_all() -> Dict[str, Tuple[float, float]]:
 
 
 def test_batched_path_speedup() -> None:
-    """The batched path must stay >= 3x the scalar path for vcc and rcc."""
+    """One-line encode_lines must stay >= 3x the scalar loop for vcc and rcc."""
     for name, floor in SPEEDUP_FLOORS.items():
         best = 0.0
         for _attempt in range(3):  # re-measure to shrug off scheduler noise
@@ -102,7 +104,7 @@ def test_batched_path_speedup() -> None:
             if best >= floor:
                 break
         assert best >= floor, (
-            f"{name}: batched path is only {best:.2f}x the scalar path "
+            f"{name}: one-line encode_lines is only {best:.2f}x the scalar path "
             f"({batch:.0f} vs {scalar:.0f} lines/s); floor is {floor}x"
         )
 
@@ -114,8 +116,8 @@ def main() -> None:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from bench_util import write_bench_json
 
-    print(f"line-encoding throughput ({NUM_COSETS} cosets, energy-then-saw, "
-          f"{WORDS_PER_LINE}x{WORD_BITS}-bit lines)\n")
+    print(f"one-line encoding throughput ({NUM_COSETS} cosets, energy-then-saw, "
+          f"{WORDS_PER_LINE}x{WORD_BITS}-bit lines; batch = encode_lines on one line)\n")
     print(f"{'encoder':<12} {'scalar lines/s':>15} {'batch lines/s':>15} {'speedup':>9}")
     results = {}
     for name, (scalar, batch) in run_all().items():

@@ -5,11 +5,12 @@ the campaign task registry (:func:`repro.campaign.tasks.register_task`)
 are the repository's plugin seams; both have contracts the runtime only
 checks partially:
 
-* a registered encoder *class* is expected to override the batched line
-  APIs (``encode_line`` / ``encode_lines``) — a missing override silently
-  falls back to the scalar reference loop and costs 3-15x throughput —
-  and any override must keep the base-class signature so the wave-replay
-  engine can call it positionally;
+* a registered encoder *class* is expected to override the batched
+  kernel ``encode_lines`` (``encode_line`` is ``encode_lines`` on one
+  line) — a missing override silently falls back to the scalar reference
+  loop and costs 3-15x throughput — and any override of the line APIs
+  must keep the base-class signature so the wave-replay engine can call
+  it positionally;
 * a registered task kind must be resolvable and replayable from its
   content address: a literal kind name (the SHA-256 canonical form hashes
   ``kind`` + ``params`` + ``TASK_SCHEMA_VERSION``) and a single ``params``
@@ -36,9 +37,9 @@ _ENCODER_SIGNATURES: Dict[str, List[str]] = {
 }
 
 #: Overrides required when a class derives straight from the abstract
-#: ``Encoder`` base: without them the batched paths silently degrade to
-#: the scalar per-word loop.
-_REQUIRED_OVERRIDES = ("encode_line", "encode_lines")
+#: ``Encoder`` base: without it the batched paths silently degrade to the
+#: scalar per-word loop.
+_REQUIRED_OVERRIDES = ("encode_lines",)
 
 
 def _registered_with(node: ast.AST, decorator: str) -> Optional[ast.expr]:
@@ -64,13 +65,13 @@ def _positional_args(function: ast.FunctionDef) -> List[str]:
 
 @register_rule(
     "REG001",
-    summary="@register_encoder class missing/mismatching the batched "
-    "encode_line/encode_lines/decode_line contract",
+    summary="@register_encoder class missing the batched encode_lines kernel "
+    "or mismatching the encode_line/encode_lines/decode_line signatures",
 )
 def check_encoder_contract(module: ModuleContext) -> Iterator[Finding]:
     """Check every ``@register_encoder`` class against the
-    ``coding/base.py`` contract: required methods present, batched
-    overrides paired with their scalar oracles, signatures matching."""
+    ``coding/base.py`` contract: the ``encode_lines`` kernel present and
+    line-API signatures matching."""
     for node in module.walk(ast.ClassDef):
         if _registered_with(node, "register_encoder") is None:
             continue

@@ -24,8 +24,9 @@ Every technique registers itself with the decorator-driven plugin registry
 code resolve techniques by short name through
 :func:`~repro.coding.registry.make_encoder`.  The line-granularity batch
 interface (:class:`~repro.coding.base.LineContext`,
-:meth:`~repro.coding.base.Encoder.encode_line`) is the memory controller's
-hot path; all builtins implement it with vectorised cost evaluation.
+:meth:`~repro.coding.base.Encoder.encode_lines`) is the memory controller's
+hot path; every builtin implements it as one vectorised kernel scored from
+the cost function's per-cell transition tables.
 """
 
 from repro.coding.base import (

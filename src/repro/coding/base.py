@@ -14,31 +14,21 @@ interface so the simulators can iterate over them uniformly:
   auxiliary bits alone (faults aside, ``decode(encode(d)) == d``).
 
 The memory controller's natural unit is the cache *line* (8 words of 64
-bits), so the interface also exposes a line-granularity batch path:
+bits), so the interface also exposes line-granularity batch paths:
 
 * :class:`LineContext` stacks the per-word write-time knowledge of a whole
   line into ``(words, cells)`` matrices plus an auxiliary-bit vector;
-* :class:`Encoder.encode_line` maps the line's words to an
-  :class:`EncodedLine`; the base implementation is a scalar loop over
-  :meth:`Encoder.encode`, so third-party encoders keep working unchanged,
-  while every builtin technique overrides it with a vectorised
-  implementation that evaluates all candidate×word cell costs in a single
-  :meth:`repro.coding.cost.CostFunction.line_cell_costs` call;
-* :class:`Encoder.decode_line` is the inverse batch operation.
-
-Above the line level sits the multi-line batch path used by the memory
-controller's wave-based replay engine:
-
 * :meth:`Encoder.encode_lines` encodes a whole chunk of queued writes (one
-  :class:`LineContext` per line) in one call; the base implementation is a
-  scalar loop over :meth:`Encoder.encode_line` so third-party encoders keep
-  working, while every builtin override evaluates the candidate×word costs
-  of all lines through a single
-  :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` kernel;
-* :func:`stack_line_contexts` concatenates per-line contexts into one
-  context covering every word of the batch, which is how per-word
-  independent encoders reduce the multi-line problem to one big
-  vectorised line.
+  :class:`LineContext` per line) in one call.  It is the one array kernel
+  of every builtin technique, scoring the candidate×word costs of all
+  lines from the cost function's per-cell transition tables
+  (:meth:`repro.coding.cost.CostFunction.transition_tables`).  The base
+  implementation is the reference loop over :meth:`Encoder.encode`, so
+  third-party encoders keep working unchanged;
+* :meth:`Encoder.encode_line` is :meth:`Encoder.encode_lines` on one line,
+  and :meth:`Encoder.encode_line_scalar` the word-at-a-time reference
+  every kernel must match bit for bit;
+* :class:`Encoder.decode_line` is the inverse batch operation.
 
 Costs are evaluated through the :class:`repro.coding.cost.CostFunction`
 interface at *cell* granularity, which lets the same encoder minimise
@@ -59,11 +49,16 @@ from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.array import cells_to_word, word_to_cells
 from repro.pcm.cell import CellTechnology
 
-# Lines encoded through the reference per-line loop instead of a builtin
+# Lines encoded through the reference word-level loop instead of a builtin
 # vectorised override — the replay engine's "fallback path taken" signal.
 _OBS_FALLBACK_LINES = obs.counter(
     "encode.fallback_lines",
-    "lines encoded by the reference encode_line loop (no batched override)",
+    "lines encoded by the reference encode_line_scalar loop (no batched override)",
+)
+# Every builtin encode_lines bumps this once per call, by lines x the
+# candidates it scores per word, so the count does not move with wave shape.
+_OBS_CANDIDATES = obs.counter(
+    "encode.candidates", "candidate lines scored by the batched encode_lines kernels"
 )
 
 __all__ = [
@@ -73,7 +68,6 @@ __all__ = [
     "EncodedLine",
     "Encoder",
     "WordsMatrix",
-    "stack_line_contexts",
     "words_to_cell_matrix",
     "words_matrix_to_cells",
     "cells_matrix_to_words",
@@ -316,31 +310,6 @@ class LineContext:
             old_aux=int(self.old_auxes[word_index]),
         )
 
-    def split_partitions(self, partitions: int) -> "LineContext":
-        """View each word as ``partitions`` contiguous sub-blocks.
-
-        Returns a context of ``words * partitions`` shorter "words", which
-        is how partition-based encoders (FNW, BCC, VCC) evaluate all
-        sub-block candidates of a line in one batched cost call.  Auxiliary
-        values do not map onto sub-blocks and are reset to zero.
-        """
-        words, cells = self.old_cells.shape
-        if partitions <= 0 or cells % partitions != 0:
-            raise ConfigurationError(
-                f"cannot split {cells} cells into {partitions} partitions"
-            )
-        sub_cells = cells // partitions
-        stuck = (
-            None
-            if self.stuck_mask is None
-            else self.stuck_mask.reshape(words * partitions, sub_cells)
-        )
-        return LineContext(
-            old_cells=self.old_cells.reshape(words * partitions, sub_cells),
-            stuck_mask=stuck,
-            bits_per_cell=self.bits_per_cell,
-        )
-
     @classmethod
     def blank(
         cls, words_per_line: int = 8, word_bits: int = 64, bits_per_cell: int = 2
@@ -447,43 +416,6 @@ class LineContext:
             bits_per_cell=bits_per_cell,
             old_auxes=np.array([c.old_aux for c in contexts], dtype=np.int64),
         )
-
-
-def stack_line_contexts(contexts: Sequence[LineContext]) -> LineContext:
-    """Concatenate per-line contexts into one context over all their words.
-
-    The stacked context views a batch of ``lines`` cache lines as a single
-    ``lines * words_per_line``-word line, which is how per-word independent
-    encoders (every builtin) evaluate the candidates of many queued writes
-    in one vectorised kernel call: word ``w`` of line ``l`` becomes word
-    ``l * words_per_line + w`` of the stacked context, and the per-word
-    results are bit-identical to encoding each line separately.
-    """
-    if not contexts:
-        raise ConfigurationError("at least one line context is required")
-    if len(contexts) == 1:
-        return contexts[0]
-    first = contexts[0]
-    if any(c.bits_per_cell != first.bits_per_cell for c in contexts):
-        raise ConfigurationError("line contexts must share bits_per_cell")
-    if any(c.old_cells.shape != first.old_cells.shape for c in contexts):
-        raise ConfigurationError("line contexts must share the line geometry")
-    stuck = None
-    if any(c.stuck_mask is not None for c in contexts):
-        stuck = np.concatenate(
-            [
-                c.stuck_mask
-                if c.stuck_mask is not None
-                else np.zeros_like(c.old_cells, dtype=bool)
-                for c in contexts
-            ]
-        )
-    return LineContext(
-        old_cells=np.concatenate([c.old_cells for c in contexts]),
-        stuck_mask=stuck,
-        bits_per_cell=first.bits_per_cell,
-        old_auxes=np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
-    )
 
 
 @dataclass(frozen=True)
@@ -651,23 +583,15 @@ class Encoder(abc.ABC):
 
     # ---------------------------------------------------------- line batch
     def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        """Encode a whole cache line for the row described by ``context``.
-
-        The base implementation is the reference scalar loop over
-        :meth:`encode` (see :meth:`encode_line_scalar`), so any third-party
-        encoder that only implements the word-level interface works
-        unchanged.  Builtin techniques override this with vectorised
-        implementations that evaluate every candidate×word cell cost in a
-        single :meth:`repro.coding.cost.CostFunction.line_cell_costs` call.
-        """
-        return self.encode_line_scalar(words, context)
+        """Encode a whole cache line: :meth:`encode_lines` on one line."""
+        return self.encode_lines([words], [context])[0]
 
     def encode_line_scalar(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        """Reference word-at-a-time implementation of :meth:`encode_line`.
+        """Reference word-at-a-time encoding of one line through :meth:`encode`.
 
-        Kept callable on every encoder (including those with a vectorised
-        ``encode_line``) so parity tests and benchmarks can compare the two
-        paths directly.
+        Kept callable on every encoder so parity tests and benchmarks can
+        compare the vectorised :meth:`encode_lines` kernel against the
+        paper's word-level algorithm directly.
         """
         self._check_line_context(context, len(words))
         return EncodedLine.from_words(
@@ -694,18 +618,18 @@ class Encoder(abc.ABC):
         ``words_matrix`` is a ``(lines, words_per_line)`` matrix of data
         words (an integer ndarray or a sequence of per-line sequences) and
         ``contexts[l]`` describes the target row of line ``l``.  The base
-        implementation is the reference loop over :meth:`encode_line`, so
-        any third-party encoder works on the multi-line path unchanged;
-        every builtin technique overrides it so one
-        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
-        evaluates the candidate×word costs of the whole chunk.  Results are
-        bit-identical to encoding each line separately — the memory
-        controller's replay waves rely on that contract.
+        implementation is the reference loop over
+        :meth:`encode_line_scalar`, so any third-party encoder works on the
+        multi-line path unchanged; every builtin technique overrides it
+        with one vectorised kernel scored from the cost function's
+        transition tables.  Results are bit-identical to encoding each
+        word through :meth:`encode` — the memory controller's replay waves
+        rely on that contract.
         """
         rows = self._line_batch_rows(words_matrix, contexts)
         _OBS_FALLBACK_LINES.inc(len(contexts))
         return [
-            self.encode_line(words, context)
+            self.encode_line_scalar(words, context)
             for words, context in zip(rows, contexts)
         ]
 
@@ -794,49 +718,6 @@ class Encoder(abc.ABC):
             technique=self.name,
         )
 
-    def _select_best_line(
-        self, candidates, auxes, context: LineContext, cells: Optional[np.ndarray] = None
-    ) -> EncodedLine:
-        """Vectorised per-word argmin over a ``(candidates, words)`` batch.
-
-        Parameters
-        ----------
-        candidates:
-            ``(num_candidates, words)`` array of candidate codeword values
-            (every word is offered the same number of candidates).
-        auxes:
-            Either a ``(num_candidates,)`` vector shared by all words or a
-            ``(num_candidates, words)`` matrix of auxiliary values.
-        context:
-            The line context; ``old_auxes`` is charged per word.
-        cells:
-            Optional precomputed ``(num_candidates, words, cells)`` cell
-            matrix of the candidates, for encoders that can derive it more
-            cheaply than the generic word-to-cell conversion.
-        """
-        cand = np.asarray(candidates, dtype=np.uint64)
-        if cand.ndim != 2 or cand.size == 0:
-            raise EncodingError("candidates must form a non-empty (candidates, words) matrix")
-        aux = np.asarray(auxes, dtype=np.int64)
-        if aux.ndim == 1:
-            aux = np.broadcast_to(aux[:, None], cand.shape)
-        if aux.shape != cand.shape:
-            raise EncodingError("aux values must align with the candidate matrix")
-        if cells is None:
-            cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-        data_costs = self.cost_function.line_cell_costs(cells, context).sum(axis=2)
-        aux_costs = self.cost_function.aux_costs_matrix(aux, context.old_auxes, self.aux_bits)
-        totals = data_costs + aux_costs
-        best = np.argmin(totals, axis=0)
-        word_index = np.arange(cand.shape[1])
-        return EncodedLine(
-            codewords=tuple(int(c) for c in cand[best, word_index]),
-            auxes=tuple(int(a) for a in aux[best, word_index]),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals[best, word_index]),
-            technique=self.name,
-        )
-
     def _select_best_lines(
         self,
         candidates: np.ndarray,
@@ -846,11 +727,10 @@ class Encoder(abc.ABC):
     ) -> List[EncodedLine]:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
-        The multi-line sibling of :meth:`_select_best_line`: one
-        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
-        scores every candidate of every word of every line, and the
-        selected codewords, auxiliary values, and costs are bit-identical
-        to running :meth:`_select_best_line` per line.
+        One gather from the cost function's transition tables scores every
+        candidate of every word of every line; the selected codewords,
+        auxiliary values, and costs are bit-identical to :meth:`_select_best`
+        per word.
 
         Parameters
         ----------
@@ -875,7 +755,9 @@ class Encoder(abc.ABC):
             raise EncodingError("aux values must align with the candidate axis")
         if cells is None:
             cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-        data_costs = self.cost_function.batch_line_cell_costs(cells, contexts).sum(axis=3)
+        tables = self.cost_function.transition_tables(contexts)
+        data_costs = self.cost_function.gather_costs(tables, cells).sum(axis=3)
+        _OBS_CANDIDATES.inc(lines * num_candidates)
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),

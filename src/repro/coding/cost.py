@@ -13,26 +13,20 @@ paper exercises several:
 * lexicographic combinations — "optimise energy first, SAW second" and
   vice versa — via :class:`LexicographicCost` (Section VI-B).
 
-Costs are evaluated per cell so the same function can score a whole word,
-a 16-bit sub-block, or a batch of candidates at once.  Two batched entry
-points exist above the word level:
+The cost of a data cell depends only on that cell's new value and its
+write-time context (old value, stuck flag), so a cost is defined by one
+per-cell transition table, :meth:`CostFunction.cell_table`: entry ``[...,
+c, v]`` is the cost of writing value ``v`` to cell ``c``.  The base class
+derives every scorer from it:
 
-* :meth:`CostFunction.line_cell_costs` scores a ``(candidates, words,
-  cells)`` batch against one :class:`~repro.coding.base.LineContext` (one
-  cache line);
-* :meth:`CostFunction.batch_line_cell_costs` scores a ``(lines,
-  candidates, words, cells)`` batch against one context *per line*, which
-  is how :meth:`repro.coding.base.Encoder.encode_lines` evaluates the
-  candidate×word costs of a whole chunk of queued writes in one kernel.
-
-Every builtin cost is *cellwise* — the cost of a cell depends only on that
-cell's new value and the write-time context of that cell — which admits an
-evaluation trick the multi-line path leans on: build a tiny per-cell
-transition table (:meth:`CostFunction.transition_tables`, one entry per
-possible cell value) with a single elementwise pass, then score any number
-of candidates with one gather.  The gathered values are bit-identical to
-the elementwise pipeline because every table entry is produced by exactly
-that pipeline.
+* :meth:`CostFunction.transition_tables` builds the table rows of the few
+  possible (old value, stuck) cell states once and gathers them for every
+  cell of a batch of line contexts;
+* :meth:`CostFunction.gather_costs` scores materialised candidate cells
+  with one gather from those tables;
+* :meth:`CostFunction.cell_costs_matrix` (and the ``cell_costs`` /
+  ``word_cost`` wrappers) scores the candidates of one word, the path the
+  word-level ``encode`` oracles take.
 
 Encoders whose candidates are the data XORed with fixed masks (RCC cosets,
 VCC kernels) go one step further with :func:`xor_candidate_costs`: when
@@ -48,8 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-import repro.obs as obs
-from repro.coding.base import LineContext, WordContext, stack_line_contexts
+from repro.coding.base import LineContext, WordContext
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel, DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY
@@ -73,45 +66,10 @@ __all__ = [
 #: Popcount of every possible cell value (cells hold at most 2 bits).
 _CELL_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.float64)
 
-#: Flattened per-(old, new) LUTs of popcount(old ^ new), indexed by
-#: ``(old << bits_per_cell) | new``; used by the batched cost paths.
-_XOR_POPCOUNT_FLAT = {
-    1: np.array(
-        [bin((i >> 1) ^ (i & 1)).count("1") for i in range(4)], dtype=np.float64
-    ),
-    2: np.array(
-        [bin((i >> 2) ^ (i & 3)).count("1") for i in range(16)], dtype=np.float64
-    ),
-}
 
-
-# Batched-kernel telemetry, bumped once per batch call (never per cell):
-# how many candidate lines the cost kernels scored and which evaluation
-# strategy scored them.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-_OBS_KERNEL_GATHERS = obs.counter(
-    "encode.kernel_gathers", "batch cost calls served by one transition-table gather"
-)
-_OBS_KERNEL_LINE_LOOPS = obs.counter(
-    "encode.kernel_line_loops", "batch cost calls that fell back to the per-line loop"
-)
-
-
-def _gather_transition_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:
-    """Score a ``(lines, candidates, words, cells)`` batch from cost tables.
-
-    ``tables`` is the ``(lines, words, cells, levels)`` output of
-    :meth:`CostFunction.transition_tables`; the result has the shape and
-    dtype the per-line pipeline would produce, with every element gathered
-    from the table instead of recomputed.
-    """
-    lines, words, cells, levels = tables.shape
-    base = np.arange(lines * words * cells, dtype=np.intp).reshape(lines, 1, words, cells)
-    base *= levels
-    # A flat 1-D take hits numpy's fast contiguous-gather path.
-    return np.take(tables.reshape(-1), (base + new_cells).ravel()).reshape(new_cells.shape)
+def _levels(bits_per_cell: int) -> np.ndarray:
+    """The cell values ``0 .. 2**bits_per_cell - 1``, for table broadcasts."""
+    return np.arange(1 << bits_per_cell, dtype=np.uint8)
 
 
 def sums_exactly(tables: np.ndarray, cells: int) -> bool:
@@ -195,19 +153,86 @@ def xor_candidate_costs(
 
 
 class CostFunction(abc.ABC):
-    """Scores candidate cell values against the write-time context."""
+    """Scores candidate cell values against the write-time context.
+
+    A cost is defined by its per-cell transition table
+    (:meth:`cell_table`); every data-cell score — a word's candidates, a
+    batch of materialised candidate lines, or an XOR-mask GEMM — is read
+    from that table.
+    """
 
     #: Short name used in result tables.
     name: str = "cost"
 
-    #: True when the cost of a cell depends only on that cell's new value
-    #: and the context of that cell (old value, stuck flag) — i.e. not on
-    #: the other cells of the candidate.  Enables the transition-table
-    #: evaluation of :meth:`batch_line_cell_costs`.  Third-party subclasses
-    #: inherit the conservative default and keep the per-line loop.
-    cellwise: bool = False
-
     @abc.abstractmethod
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
+    ) -> np.ndarray:
+        """Per-cell write-cost table.
+
+        A cell's row may depend only on that cell's old value and stuck
+        flag (:meth:`transition_tables` builds one row per such state and
+        gathers them).
+
+        Parameters
+        ----------
+        old_cells:
+            ``(..., C)`` uint8 array of the current cell values.
+        stuck_mask:
+            Boolean array aligned with ``old_cells`` (True marks a cell
+            stuck at its old value), or None when no fault information is
+            known.
+        bits_per_cell:
+            1 for SLC, 2 for MLC.
+
+        Returns
+        -------
+        numpy.ndarray
+            A fresh float64 ``(..., C, levels)`` array, ``levels = 2 **
+            bits_per_cell``, whose entry ``[..., c, v]`` is the cost of
+            writing value ``v`` to cell ``c``.
+        """
+
+    def transition_tables(self, contexts: Sequence[LineContext]) -> np.ndarray:
+        """The ``(lines, words, cells, levels)`` tables of a batch of lines.
+
+        Entry ``[l, w, c, v]`` is the cost of writing value ``v`` to cell
+        ``c`` of word ``w`` of line ``l``.
+        """
+        bits_per_cell = contexts[0].bits_per_cell
+        levels = 1 << bits_per_cell
+        old = np.stack([context.old_cells for context in contexts])
+        if all(context.stuck_mask is None for context in contexts):
+            rows = self.cell_table(np.arange(levels, dtype=np.uint8), None, bits_per_cell)
+            return np.take(rows, old, axis=0)
+        stuck = np.stack(
+            [
+                context.stuck_mask
+                if context.stuck_mask is not None
+                else np.zeros_like(context.old_cells, dtype=bool)
+                for context in contexts
+            ]
+        )
+        # A cell's table row depends only on its (stuck, old) state, so the
+        # rows of the 2 * levels states are built once and gathered.
+        states = np.arange(2 * levels, dtype=np.uint8)
+        rows = self.cell_table(states % levels, states >= levels, bits_per_cell)
+        return np.take(rows, old | (stuck.astype(np.uint8) << bits_per_cell), axis=0)
+
+    @staticmethod
+    def gather_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:
+        """Per-cell costs of a ``(lines, candidates, words, cells)`` batch.
+
+        ``tables`` is a ``(lines, words, cells, levels)`` output of
+        :meth:`transition_tables`; entry ``[l, k, w, c]`` of the result is
+        ``tables[l, w, c, new_cells[l, k, w, c]]``.
+        """
+        lines, words, cells, levels = tables.shape
+        base = np.arange(lines * words * cells, dtype=np.intp).reshape(lines, 1, words, cells)
+        base *= levels
+        # A flat 1-D take hits numpy's fast contiguous-gather path.
+        return np.take(tables.reshape(-1), (base + new_cells).ravel()).reshape(new_cells.shape)
+
     def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
         """Per-cell costs for a batch of candidates.
 
@@ -221,6 +246,11 @@ class CostFunction(abc.ABC):
             candidate covers a sub-block rather than a whole word; callers
             slice the context themselves via :meth:`slice_context`.
         """
+        new = np.asarray(new_cells, dtype=np.uint8)
+        cells = new.shape[1]
+        stuck = None if context.stuck_mask is None else context.stuck_mask[-cells:]
+        table = self.cell_table(context.old_cells[-cells:], stuck, context.bits_per_cell)
+        return self.gather_costs(table[None, None], new[None, :, None, :])[0, :, 0]
 
     def cell_costs(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
         """Per-cell costs for a single candidate (1-D convenience wrapper)."""
@@ -230,126 +260,6 @@ class CostFunction(abc.ABC):
     def word_cost(self, new_cells: np.ndarray, context: WordContext) -> float:
         """Total data-cell cost of a single candidate."""
         return float(self.cell_costs(new_cells, context).sum())
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        """Per-cell costs for a batch of candidates over a whole line.
-
-        Parameters
-        ----------
-        new_cells:
-            ``(num_candidates, num_words, num_cells)`` array of candidate
-            cell values; every word of the line is offered the same number
-            of candidates, each scored against that word's old cells.
-        context:
-            The line context (``(num_words, num_cells)`` old-cell and
-            stuck matrices).
-
-        Returns
-        -------
-        numpy.ndarray
-            Costs of the same ``(num_candidates, num_words, num_cells)``
-            shape.  The array must be freshly allocated (callers may
-            accumulate into it in place) but may use any numeric dtype —
-            e.g. :class:`SawCost` returns its boolean mismatch mask
-            directly.  The default loops over the words of the line through
-            :meth:`cell_costs_matrix`, so third-party cost functions work
-            on the batched path unchanged; every builtin overrides it with
-            a single broadcast evaluation.
-        """
-        new = np.asarray(new_cells, dtype=np.uint8)
-        if new.ndim != 3:
-            raise ConfigurationError(
-                "line_cell_costs expects a (candidates, words, cells) array"
-            )
-        out = np.empty(new.shape, dtype=np.float64)
-        for word_index in range(new.shape[1]):
-            out[:, word_index, :] = self.cell_costs_matrix(
-                new[:, word_index, :], context.word_context(word_index)
-            )
-        return out
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        """Per-cell costs for a batch of candidates over many lines at once.
-
-        Parameters
-        ----------
-        new_cells:
-            ``(lines, candidates, words, cells)`` array of candidate cell
-            values; line ``l`` is scored against ``contexts[l]``.
-        contexts:
-            One :class:`~repro.coding.base.LineContext` per line, all
-            sharing the line geometry.
-
-        Returns
-        -------
-        numpy.ndarray
-            Costs of the same 4-D shape, dtype-compatible with what
-            :meth:`line_cell_costs` returns per line.  For cellwise cost
-            functions the default evaluates one transition-table gather;
-            otherwise it loops :meth:`line_cell_costs` per line, so
-            third-party cost functions work on the multi-line path
-            unchanged.
-        """
-        new = self._validate_batch(new_cells, contexts)
-        tables = self.transition_tables(contexts)
-        if tables is not None:
-            _OBS_KERNEL_GATHERS.inc()
-            return _gather_transition_costs(tables, new)
-        _OBS_KERNEL_LINE_LOOPS.inc()
-        out: Optional[np.ndarray] = None
-        for index, context in enumerate(contexts):
-            costs = self.line_cell_costs(new[index], context)
-            if out is None:
-                out = np.empty(new.shape, dtype=costs.dtype)
-            out[index] = costs
-        return out
-
-    def transition_tables(self, contexts: Sequence[LineContext]) -> Optional[np.ndarray]:
-        """Per-cell write-cost tables, or None for non-cellwise costs.
-
-        Returns a ``(lines, words, cells, levels)`` array whose entry
-        ``[l, w, c, v]`` is the cost of writing cell value ``v`` to cell
-        ``c`` of word ``w`` of line ``l``.  Built with a single
-        :meth:`line_cell_costs` call over the constant level planes, so
-        every entry is bit-identical to the elementwise pipeline; encoders
-        with structured candidates (e.g. RCC's XOR cosets) gather from the
-        table instead of materialising every candidate cell.
-        """
-        if not self.cellwise:
-            return None
-        stacked = stack_line_contexts(list(contexts))
-        levels = 1 << stacked.bits_per_cell
-        total_words, cells = stacked.old_cells.shape
-        planes = np.empty((levels, total_words, cells), dtype=np.uint8)
-        for value in range(levels):
-            planes[value] = value
-        table = self.line_cell_costs(planes, stacked)
-        lines = len(contexts)
-        return np.ascontiguousarray(np.transpose(table, (1, 2, 0))).reshape(
-            lines, total_words // lines, cells, levels
-        )
-
-    @staticmethod
-    def _validate_batch(new_cells: np.ndarray, contexts: Sequence[LineContext]) -> np.ndarray:
-        """Shared argument validation of :meth:`batch_line_cell_costs`."""
-        new = np.asarray(new_cells, dtype=np.uint8)
-        if new.ndim != 4 or new.shape[0] == 0:
-            raise ConfigurationError(
-                "batch_line_cell_costs expects a non-empty "
-                "(lines, candidates, words, cells) array"
-            )
-        if len(contexts) != new.shape[0]:
-            raise ConfigurationError(
-                f"batch of {new.shape[0]} lines needs {new.shape[0]} contexts, "
-                f"got {len(contexts)}"
-            )
-        # Every batched cost path (base kernel and subclass overrides)
-        # validates here, so this is the one chokepoint that sees all
-        # candidate-line evaluations.
-        _OBS_CANDIDATES.inc(int(new.shape[0]) * int(new.shape[1]))
-        return new
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         """Cost of storing the auxiliary bits.
@@ -400,31 +310,17 @@ def _changed_aux_bits(new_auxes: np.ndarray, old_auxes: np.ndarray) -> np.ndarra
     return counts.astype(np.float64)
 
 
-def _stacked_old_cells(contexts: Sequence[LineContext]) -> np.ndarray:
-    """``(lines, words, cells)`` stack of the contexts' old cell values."""
-    return np.stack([context.old_cells for context in contexts])
-
-
 class OnesCost(CostFunction):
     """Number of '1' bits written (the Fig. 3 objective)."""
 
     name = "ones"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        return _CELL_POPCOUNT[new]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        del context
-        return _CELL_POPCOUNT[np.asarray(new_cells, dtype=np.int64)]
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        # Context-free: the popcount LUT applies directly to the 4-D batch.
-        new = self._validate_batch(new_cells, contexts)
-        return _CELL_POPCOUNT[new.astype(np.int64)]
+        del stuck_mask
+        popcounts = _CELL_POPCOUNT[: 1 << bits_per_cell]
+        return np.broadcast_to(popcounts, old_cells.shape + popcounts.shape).copy()
 
     def aux_costs_matrix(
         self, new_auxes: np.ndarray, old_auxes: np.ndarray, aux_bits: int
@@ -437,25 +333,12 @@ class BitChangeCost(CostFunction):
     """Number of bits that differ from the current cell contents."""
 
     name = "bit-changes"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return _CELL_POPCOUNT[new ^ old[None, :]]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        lut = _XOR_POPCOUNT_FLAT[context.bits_per_cell]
-        old_scaled = context.old_cells.astype(np.intp) << context.bits_per_cell
-        return lut[old_scaled[None, :, :] + np.asarray(new_cells)]
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        lut = _XOR_POPCOUNT_FLAT[contexts[0].bits_per_cell]
-        old_scaled = _stacked_old_cells(contexts).astype(np.intp) << contexts[0].bits_per_cell
-        return lut[old_scaled[:, None, :, :] + new]
+        del stuck_mask
+        return _CELL_POPCOUNT[old_cells[..., None] ^ _levels(bits_per_cell)]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -472,22 +355,12 @@ class CellChangeCost(CostFunction):
     """Number of cells (symbols) that must be reprogrammed."""
 
     name = "cell-changes"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return (new != old[None, :]).astype(np.float64)
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        # Boolean 0/1 costs, promoted on demand (see SawCost).
-        return np.asarray(new_cells) != context.old_cells[None, :, :]
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        return new != _stacked_old_cells(contexts)[:, None, :, :]
+        del stuck_mask
+        return (old_cells[..., None] != _levels(bits_per_cell)).astype(np.float64)
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -504,7 +377,6 @@ class EnergyCost(CostFunction):
     """Write energy of the transition from the current to the new cell values."""
 
     name = "energy"
-    cellwise = True
 
     def __init__(
         self,
@@ -526,40 +398,17 @@ class EnergyCost(CostFunction):
                 ]
             )
             self._aux_bit_energy = slc_model.aux_bit_energy_pj
-        # Flattened LUT for the batched path: a single uint8 gather index
-        # (old << bits) | new is cheaper than two-array fancy indexing.
-        self._levels = self._lut.shape[1]
-        self._lut_flat = np.ascontiguousarray(self._lut.reshape(-1))
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        if context.bits_per_cell != self.technology.bits_per_cell:
-            raise ConfigurationError(
-                "EnergyCost technology does not match the context's cell technology"
-            )
-        new = np.asarray(new_cells, dtype=np.int64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        return self._lut[old[None, :], new]
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        if context.bits_per_cell != self.technology.bits_per_cell:
-            raise ConfigurationError(
-                "EnergyCost technology does not match the context's cell technology"
-            )
-        # An intp gather index skips the int-conversion pass that fancy
-        # indexing performs on small-integer index arrays.
-        old_scaled = context.old_cells.astype(np.intp) * self._levels
-        return self._lut_flat[old_scaled[None, :, :] + np.asarray(new_cells)]
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        if contexts[0].bits_per_cell != self.technology.bits_per_cell:
+        del stuck_mask
+        if bits_per_cell != self.technology.bits_per_cell:
             raise ConfigurationError(
                 "EnergyCost technology does not match the context's cell technology"
             )
-        old_scaled = _stacked_old_cells(contexts).astype(np.intp) * self._levels
-        return self._lut_flat[old_scaled[:, None, :, :] + new]
+        # Row ``old`` of the (old, new) LUT is the table of a cell at ``old``.
+        return self._lut[old_cells]
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del aux_bits
@@ -584,40 +433,15 @@ class SawCost(CostFunction):
     """
 
     name = "saw"
-    cellwise = True
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        new = np.asarray(new_cells, dtype=np.int64)
-        if context.stuck_mask is None:
-            return np.zeros(new.shape, dtype=np.float64)
-        old = np.asarray(context.old_cells[-new.shape[1]:], dtype=np.int64)
-        stuck = np.asarray(context.stuck_mask[-new.shape[1]:], dtype=bool)
-        mismatch = (new != old[None, :]) & stuck[None, :]
-        return mismatch.astype(np.float64)
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        new = np.asarray(new_cells)
-        if context.stuck_mask is None:
-            return np.zeros(new.shape, dtype=np.float64)
-        # Returned as a boolean 0/1 cost array; summing and combining with
-        # float costs promotes it without an explicit conversion pass.
-        return (new != context.old_cells[None, :, :]) & context.stuck_mask[None, :, :]
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        if all(context.stuck_mask is None for context in contexts):
-            return np.zeros(new.shape, dtype=np.float64)
-        stuck = np.stack(
-            [
-                context.stuck_mask
-                if context.stuck_mask is not None
-                else np.zeros_like(context.old_cells, dtype=bool)
-                for context in contexts
-            ]
-        )
-        return (new != _stacked_old_cells(contexts)[:, None, :, :]) & stuck[:, None, :, :]
+        levels = _levels(bits_per_cell)
+        if stuck_mask is None:
+            return np.zeros(old_cells.shape + levels.shape, dtype=np.float64)
+        mismatch = (old_cells[..., None] != levels) & stuck_mask[..., None]
+        return mismatch.astype(np.float64)
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         del new_aux, old_aux, aux_bits
@@ -646,47 +470,14 @@ class LexicographicCost(CostFunction):
         self.secondary = secondary
         self.scale = scale
         self.name = f"{primary.name}>{secondary.name}"
-        # The combination is cellwise exactly when both parts are, in which
-        # case the multi-line path fuses primary and secondary into a
-        # single transition-table gather.
-        self.cellwise = primary.cellwise and secondary.cellwise
 
-    def cell_costs_matrix(self, new_cells: np.ndarray, context: WordContext) -> np.ndarray:
-        return (
-            self.primary.cell_costs_matrix(new_cells, context) * self.scale
-            + self.secondary.cell_costs_matrix(new_cells, context)
-        )
-
-    def line_cell_costs(self, new_cells: np.ndarray, context: LineContext) -> np.ndarray:
-        # line_cell_costs returns a fresh array, so float64 primaries can
-        # be scaled and accumulated in place without extra temporaries.
-        primary = self.primary.line_cell_costs(new_cells, context)
-        if primary.dtype == np.float64:
-            primary *= self.scale
-            out = primary
-        else:
-            out = primary * self.scale
-        out += self.secondary.line_cell_costs(new_cells, context)
-        return out
-
-    def batch_line_cell_costs(
-        self, new_cells: np.ndarray, contexts: Sequence[LineContext]
+    def cell_table(
+        self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
     ) -> np.ndarray:
-        new = self._validate_batch(new_cells, contexts)
-        tables = self.transition_tables(contexts)
-        if tables is not None:
-            # One fused gather replaces the scale-multiply-accumulate
-            # pipeline: each table entry already holds primary * scale +
-            # secondary for its (cell, value) pair.
-            return _gather_transition_costs(tables, new)
-        primary = self.primary.batch_line_cell_costs(new, contexts)
-        if primary.dtype == np.float64:
-            primary *= self.scale
-            out = primary
-        else:
-            out = primary * self.scale
-        out += self.secondary.batch_line_cell_costs(new, contexts)
-        return out
+        table = self.primary.cell_table(old_cells, stuck_mask, bits_per_cell)
+        table *= self.scale
+        table += self.secondary.cell_table(old_cells, stuck_mask, bits_per_cell)
+        return table
 
     def aux_cost(self, new_aux: int, old_aux: int, aux_bits: int) -> float:
         return (

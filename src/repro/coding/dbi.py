@@ -23,9 +23,7 @@ __all__ = ["DBIEncoder"]
 class DBIEncoder(FNWEncoder):
     """Whole-block conditional inversion (1 auxiliary bit per word).
 
-    Inherits both batch paths from Flip-N-Write: the vectorised
-    ``encode_line`` and the multi-line ``encode_lines`` used by the memory
-    controller's replay waves.
+    Inherits the vectorised ``encode_lines`` kernel from Flip-N-Write.
     """
 
     name = "dbi"

@@ -19,32 +19,23 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.coding.base import (
+    _OBS_CANDIDATES,
     EncodedLine,
     EncodedWord,
     Encoder,
     LineContext,
     WordContext,
     WordsMatrix,
-    stack_line_contexts,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
 from repro.coding.cost import BitChangeCost, CostFunction
 from repro.coding.registry import register_encoder
-import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.utils.validation import require, require_divisible
 
 __all__ = ["FNWEncoder"]
-
-# Same counter the batched cost kernels bump (registry get-or-create):
-# encode_lines scores its batch as one stacked line, so it tops the
-# kernel's count up to two forms per line.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-
 
 @register_encoder(
     "fnw",
@@ -126,63 +117,13 @@ class FNWEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        # The vectorized path packs codewords and flag vectors into 64-bit
-        # lanes; wider configurations use the scalar loop.
-        if self.word_bits > 64 or self.aux_bits >= 64:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        num_words = len(words)
-        p = self.partitions
-        sub_mask = np.uint64(self._sub_mask)
-        values = np.asarray(words, dtype=np.uint64)
-        shifts = np.array(
-            [self.sub_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
-        subs = (values[:, None] >> shifts) & sub_mask
-        candidates = np.stack([subs, subs ^ sub_mask])
-        cells = words_matrix_to_cells(
-            candidates.reshape(2, num_words * p), self.sub_bits, self.bits_per_cell
-        )
-        sub_context = context.split_partitions(p)
-        costs = (
-            self.cost_function.line_cell_costs(cells, sub_context)
-            .sum(axis=2)
-            .reshape(2, num_words, p)
-        )
-        flags_matrix = costs[1] < costs[0]
-        chosen_costs = np.where(flags_matrix, costs[1], costs[0])
-        # Accumulate partitions left to right, matching the scalar loop's
-        # float association exactly (bit-for-bit cost parity).
-        totals = np.zeros(num_words, dtype=np.float64)
-        for j in range(p):
-            totals += chosen_costs[:, j]
-        chosen_subs = np.where(flags_matrix, candidates[1], candidates[0])
-        codewords = np.zeros(num_words, dtype=np.uint64)
-        flags = np.zeros(num_words, dtype=np.int64)
-        for j in range(p):
-            codewords |= chosen_subs[:, j] << shifts[j]
-            flags = (flags << 1) | flags_matrix[:, j]
-        totals += self.cost_function.aux_costs_matrix(
-            flags[None, :], context.old_auxes, self.aux_bits
-        )[0]
-        return EncodedLine(
-            codewords=tuple(int(c) for c in codewords),
-            auxes=tuple(int(f) for f in flags),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
-        # Mirrors the vectorized encode_line with a leading lines axis: one
-        # batch_line_cell_costs call scores the direct and inverted form of
-        # every partition of every word of every queued write.
+        # One gather from the cost tables scores the direct and inverted
+        # form of every partition of every word of every queued write.  The
+        # kernel packs codewords and flag vectors into 64-bit lanes; wider
+        # configurations use the reference loop.
         if self.word_bits > 64 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
         values = np.asarray(words_matrix, dtype=np.uint64)
@@ -197,18 +138,20 @@ class FNWEncoder(Encoder):
         subs_flat = subs.reshape(1, lines * num_words * p)
         candidates = np.stack([subs_flat, subs_flat ^ sub_mask], axis=1)
         cells = words_matrix_to_cells(candidates, self.sub_bits, self.bits_per_cell)
-        # The batch views all lines as one stacked line (word w of line l is
-        # stacked word l * words_per_line + w), so a one-line 4-D kernel
-        # call scores both forms of every partition of every queued write.
-        stacked_split = stack_line_contexts(list(contexts)).split_partitions(p)
+        # The batch views all lines as one stacked line of partitions:
+        # partition j of word w of line l is row (l * words_per_line + w) * p
+        # + j of the reshaped tables.
+        tables = self.cost_function.transition_tables(contexts).reshape(
+            1, lines * num_words * p, self.cells_per_partition, -1
+        )
         costs = (
-            self.cost_function.batch_line_cell_costs(cells, [stacked_split])
+            self.cost_function.gather_costs(tables, cells)
             .reshape(2, lines * num_words * p, -1)
             .sum(axis=2)
             .reshape(2, lines, num_words, p)
             .swapaxes(0, 1)
         )
-        _OBS_CANDIDATES.inc((lines - 1) * 2)
+        _OBS_CANDIDATES.inc(lines * 2)
         flags_matrix = costs[:, 1] < costs[:, 0]
         chosen_costs = np.where(flags_matrix, costs[:, 1], costs[:, 0])
         # Accumulate partitions left to right, matching the scalar loop's

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.coding.base import (
+    _OBS_CANDIDATES,
     EncodedLine,
     EncodedWord,
     Encoder,
@@ -36,7 +37,6 @@ from repro.coding.cost import (
     xor_one_hot,
 )
 from repro.coding.registry import register_encoder
-import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.utils.bitops import random_word
@@ -44,14 +44,6 @@ from repro.utils.rng import make_rng
 from repro.utils.validation import require_power_of_two
 
 __all__ = ["RCCEncoder"]
-
-# Same counter the batched cost kernels bump (registry get-or-create):
-# the exact GEMM path scores its candidates without entering a cost
-# kernel, so it reports them itself.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-
 
 @register_encoder(
     "rcc",
@@ -128,20 +120,6 @@ class RCCEncoder(Encoder):
         auxes = list(range(self.num_cosets))
         return self._select_best(candidates, auxes, context)
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        if self._coset_array is None:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        values = np.asarray(words, dtype=np.uint64)
-        candidates = values[None, :] ^ self._coset_array[:, None]
-        auxes = np.arange(self.num_cosets, dtype=np.int64)
-        data_cells = words_matrix_to_cells(values, self.word_bits, self.bits_per_cell)
-        candidate_cells = data_cells[None, :, :] ^ self._coset_cells[:, None, :]
-        return self._select_best_line(candidates, auxes, context, cells=candidate_cells)
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
@@ -155,10 +133,9 @@ class RCCEncoder(Encoder):
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
         tables = self.cost_function.transition_tables(contexts)
-        if tables is None or not sums_exactly(tables, self.cells_per_word):
-            # Non-cellwise cost, or tables whose sums float64 may round:
-            # materialise every candidate cell and score them through the
-            # generic 4-D kernel.
+        if not sums_exactly(tables, self.cells_per_word):
+            # Tables whose sums float64 may round: materialise every
+            # candidate cell and gather its cost from the tables.
             candidates = (
                 (flat[None, :] ^ self._coset_array[:, None])
                 .reshape(self.num_cosets, lines, words)
@@ -172,7 +149,7 @@ class RCCEncoder(Encoder):
                 candidates, auxes, contexts, cells=candidate_cells
             )
         # Exact path: every coset of every word is one GEMM against the
-        # coset one-hot, with sums bit-identical to encode_line's.
+        # coset one-hot, with sums bit-identical to the gather's.
         totals = xor_candidate_costs(
             tables.reshape(total_words, self.cells_per_word, -1),
             data_cells,
@@ -186,7 +163,7 @@ class RCCEncoder(Encoder):
         # Selection inline (the (words, cosets) layout of the GEMM path
         # saves transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
-        # _select_best_line, and only the winning candidates are built.
+        # _select_best_lines, and only the winning candidates are built.
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         totals += self.cost_function.aux_costs_matrix(
             np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),

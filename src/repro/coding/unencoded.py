@@ -7,6 +7,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.coding.base import (
+    _OBS_CANDIDATES,
     EncodedLine,
     EncodedWord,
     Encoder,
@@ -61,21 +62,6 @@ class UnencodedEncoder(Encoder):
             codeword=data, aux=0, aux_bits=0, cost=float(cost), technique=self.name
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        cells = words_matrix_to_cells([words], self.word_bits, self.bits_per_cell)
-        costs = self.cost_function.line_cell_costs(cells, context)[0].sum(axis=1)
-        return EncodedLine(
-            codewords=tuple(words),
-            auxes=(0,) * len(words),
-            aux_bits=0,
-            costs=tuple(float(c) for c in costs),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
@@ -84,12 +70,14 @@ class UnencodedEncoder(Encoder):
         values = np.asarray(words_matrix, dtype=np.uint64)
         self._check_lines_batch(values, contexts)
         lines, words = values.shape
-        # A single one-candidate batch kernel call reports the cost of
-        # storing every line unchanged; there is nothing to select.
+        # One one-candidate gather reports the cost of storing every line
+        # unchanged; there is nothing to select.
         cells = words_matrix_to_cells(
             values.reshape(lines, 1, words), self.word_bits, self.bits_per_cell
         )
-        costs = self.cost_function.batch_line_cell_costs(cells, contexts)[:, 0].sum(axis=2)
+        tables = self.cost_function.transition_tables(contexts)
+        costs = self.cost_function.gather_costs(tables, cells)[:, 0].sum(axis=2)
+        _OBS_CANDIDATES.inc(lines)
         return [
             EncodedLine(
                 codewords=tuple(int(w) for w in values[line]),

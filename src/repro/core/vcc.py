@@ -25,13 +25,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.base import (
+    _OBS_CANDIDATES,
     EncodedLine,
     EncodedWord,
     Encoder,
     LineContext,
     WordContext,
     WordsMatrix,
-    stack_line_contexts,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
@@ -46,7 +46,6 @@ from repro.coding.registry import register_encoder
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
 from repro.errors import ConfigurationError, EncodingError
-import repro.obs as obs
 from repro.utils.bitops import (
     interleave_planes,
     interleave_planes_array,
@@ -56,14 +55,6 @@ from repro.utils.bitops import (
 )
 
 __all__ = ["VCCEncoder"]
-
-# Same counter the batched cost kernels bump (registry get-or-create): the
-# exact GEMM path never enters a cost kernel, so it reports its candidates
-# itself, exactly as the kernel call it replaces would.
-_OBS_CANDIDATES = obs.counter(
-    "encode.candidates", "candidate lines scored by the batched cost kernels"
-)
-
 
 def _narrow_uint_dtype(bits: int):
     """Smallest unsigned dtype holding ``bits``-bit values."""
@@ -207,123 +198,21 @@ class VCCEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_line(self, words: Sequence[int], context: LineContext) -> EncodedLine:
-        config = self.config
-        if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
-            return self.encode_line_scalar(words, context)
-        words = [int(w) for w in words]
-        for word in words:
-            self._check_data(word)
-        self._check_line_context(context, len(words))
-        num_words = len(words)
-        p = config.partitions
-        r = config.num_kernels
-
-        # Batched setup: kernels may depend on the word's left digits, so
-        # they are resolved through the provider's batch interface.
-        values = np.asarray(words, dtype=np.uint64)
-        kernels_matrix = np.asarray(
-            self.kernel_provider.kernels_for_batch(values), dtype=np.uint64
-        )
-        if kernels_matrix.shape != (num_words, r):
-            raise EncodingError(
-                f"kernel provider returned shape {kernels_matrix.shape} kernels, "
-                f"expected ({num_words}, {r})"
-            )
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            left_array, region_array = split_planes_array(values, config.word_bits)
-            left_planes: List[Optional[int]] = [int(v) for v in left_array]
-        else:
-            left_array = None
-            region_array = values
-            left_planes = [None] * num_words
-        sub_shifts = np.array(
-            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
-        kernel_mask = np.uint64(self._kernel_mask)
-        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
-
-        # All 2r candidate encodings of every partition of every word: the
-        # first r entries along axis 0 are the XOR forms, the last r the
-        # XNOR forms, matching the scalar _partition_costs layout.
-        xor_values = kernels_matrix.T[:, :, None] ^ subs[None, :, :]
-        all_values = np.concatenate([xor_values, xor_values ^ kernel_mask], axis=0)
-
-        if config.encode_region is EncodeRegion.RIGHT_PLANE:
-            # Each kernel bit is the right digit of one cell; the left digit
-            # comes, unchanged, from the passthrough plane.
-            shifts = np.arange(config.kernel_bits - 1, -1, -1, dtype=np.uint64)
-            right_bits = (all_values[..., None] >> shifts) & np.uint64(1)
-            left_subs = (left_array[:, None] >> sub_shifts) & kernel_mask
-            left_bits = (left_subs[..., None] >> shifts) & np.uint64(1)
-            cell_matrix = ((left_bits[None] << np.uint64(1)) | right_bits).astype(np.uint8)
-        else:
-            cell_matrix = words_matrix_to_cells(
-                all_values, config.kernel_bits, self.bits_per_cell
-            )
-
-        cells_per_partition = config.cells_per_partition
-        sub_context = context.split_partitions(p)
-        costs = (
-            self.cost_function.line_cell_costs(
-                cell_matrix.reshape(2 * r, num_words * p, cells_per_partition), sub_context
-            )
-            .sum(axis=2)
-            .reshape(2 * r, num_words, p)
-        )
-        xor_costs = costs[:r]
-        xnor_costs = costs[r:]
-        flags_matrix = xnor_costs < xor_costs
-        per_partition_best = np.where(flags_matrix, xnor_costs, xor_costs)
-        data_costs = per_partition_best.sum(axis=2)
-
-        flags = np.zeros((r, num_words), dtype=np.int64)
-        for j in range(p):
-            flags = (flags << 1) | flags_matrix[:, :, j]
-        aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
-        aux_costs = self.cost_function.aux_costs_matrix(
-            aux_values, context.old_auxes, self.aux_bits
-        )
-        totals = data_costs + aux_costs
-        best_kernel = np.argmin(totals, axis=0)
-
-        codewords = []
-        for index in range(num_words):
-            i = int(best_kernel[index])
-            codewords.append(
-                self._build_codeword(
-                    [int(s) for s in subs[index]],
-                    int(kernels_matrix[index, i]),
-                    int(flags[i, index]),
-                    left_planes[index],
-                )
-            )
-        word_index = np.arange(num_words)
-        return EncodedLine(
-            codewords=tuple(codewords),
-            auxes=tuple(int(a) for a in aux_values[best_kernel, word_index]),
-            aux_bits=self.aux_bits,
-            costs=tuple(float(t) for t in totals[best_kernel, word_index]),
-            technique=self.name,
-        )
-
     def encode_lines(
         self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
     ) -> List[EncodedLine]:
         """Encode a whole chunk of queued writes in one vectorised pass.
 
         VCC selects candidates per word, so the multi-line batch reduces to
-        one stacked "line" of ``lines * words_per_line`` words (see
-        :func:`repro.coding.base.stack_line_contexts`): kernels, partition
-        costs, flags, and the per-word argmin all run once over the stacked
-        word axis, with the candidate×partition costs evaluated by one
-        :func:`repro.coding.cost.xor_candidate_costs` matrix product (one
-        :meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` call
-        when the cost tables fail :func:`repro.coding.cost.sums_exactly`).
-        Unlike :meth:`encode_line`, the winning codewords are
-        assembled with vectorised bit arithmetic instead of the per-word
-        Python loop; the selected kernels, flags, and costs are
-        bit-identical to encoding each line separately.
+        one stacked "line" of ``lines * words_per_line`` words: kernels,
+        partition costs, flags, and the per-word argmin all run once over
+        the stacked word axis, with the candidate×partition costs evaluated
+        by one :func:`repro.coding.cost.xor_candidate_costs` matrix product
+        (one :meth:`repro.coding.cost.CostFunction.gather_costs` gather when
+        the cost tables fail :func:`repro.coding.cost.sums_exactly`).  The
+        winning codewords are assembled with vectorised bit arithmetic; the
+        selected kernels, flags, and costs are bit-identical to
+        :meth:`encode` word by word.
         """
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
@@ -356,12 +245,12 @@ class VCCEncoder(Encoder):
         subs = (region_array[:, None] >> sub_shifts) & kernel_mask
 
         cells_per_partition = config.cells_per_partition
-        stacked = stack_line_contexts(list(contexts))
         # The batch views all lines as one stacked line: word w of line l is
         # stacked word l * words_per_line + w, and partition j of stacked
-        # word w is row w * p + j of the partitioned context.
-        partitioned = stacked.split_partitions(p)
-        tables = self.cost_function.transition_tables([partitioned])
+        # word w is row w * p + j of the reshaped tables.
+        tables = self.cost_function.transition_tables(contexts).reshape(
+            num_words * p, cells_per_partition, -1
+        )
         # Candidate cells are the data cells XOR the kernel (or complement)
         # mask cells, the same masks for every word when kernels are stored.
         data_cells = words_matrix_to_cells(
@@ -371,41 +260,34 @@ class VCCEncoder(Encoder):
             masks, one_hot = self._rom_masks, self._rom_one_hot
         else:
             masks, one_hot = self._candidate_mask_cells(kernels_matrix), None
-        if tables is not None and sums_exactly(tables, self.cells_per_word):
+        if sums_exactly(tables, self.cells_per_word):
             # Exact path: every candidate of every partition is one GEMM
             # (stored kernels) or one small matmul per word (generated
             # kernels), with sums bit-identical to the materialised path.
             costs = (
-                xor_candidate_costs(
-                    tables.reshape(num_words * p, cells_per_partition, -1),
-                    data_cells,
-                    masks,
-                    one_hot=one_hot,
-                )
+                xor_candidate_costs(tables, data_cells, masks, one_hot=one_hot)
                 .reshape(num_words, p, 2 * r)
                 .transpose(2, 0, 1)
             )
-            _OBS_CANDIDATES.inc(lines * 2 * r)
         else:
-            # Non-cellwise cost, or tables whose sums float64 may round:
-            # materialise the (2r, words, partitions, cells) candidate cells
-            # and score them through one generic kernel call.
+            # Tables whose sums float64 may round: materialise the (2r,
+            # words, partitions, cells) candidate cells and gather their
+            # costs from the tables.
             word_masks = masks if masks.ndim == 3 else masks[None]
             cell_matrix = (
                 data_cells.reshape(1, num_words, p, cells_per_partition)
                 ^ word_masks.transpose(1, 0, 2)[:, :, None, :]
             )
             costs = (
-                self.cost_function.batch_line_cell_costs(
+                self.cost_function.gather_costs(
+                    tables[None],
                     cell_matrix.reshape(1, 2 * r, num_words * p, cells_per_partition),
-                    [partitioned],
                 )
                 .reshape(2 * r, num_words * p, cells_per_partition)
                 .sum(axis=2)
                 .reshape(2 * r, num_words, p)
             )
-            # The kernel call counted the stacked batch as one line.
-            _OBS_CANDIDATES.inc((lines - 1) * 2 * r)
+        _OBS_CANDIDATES.inc(lines * 2 * r)
         xor_costs = costs[:r]
         xnor_costs = costs[r:]
         flags_matrix = xnor_costs < xor_costs
@@ -417,7 +299,9 @@ class VCCEncoder(Encoder):
             flags = (flags << 1) | flags_matrix[:, :, j]
         aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
         aux_costs = self.cost_function.aux_costs_matrix(
-            aux_values, stacked.old_auxes, self.aux_bits
+            aux_values,
+            np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
+            self.aux_bits,
         )
         totals = data_costs + aux_costs
         best_kernel = np.argmin(totals, axis=0)

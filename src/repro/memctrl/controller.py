@@ -12,8 +12,8 @@ the same internals: bit-identical accounting, per-write results
 accumulated into the arrays of a :class:`ReplayResult`).
 
 The write path is line-granular end to end: each write issues a single
-:meth:`repro.coding.base.Encoder.encode_line` call (vectorised for every
-builtin technique), auxiliary bits live in a preallocated
+:meth:`repro.coding.base.Encoder.encode_line` call (the encoder's
+``encode_lines`` kernel on one line), auxiliary bits live in a preallocated
 ``(rows, words_per_line)`` array, and the energy / SAW accounting is
 computed with NumPy over the whole row.
 

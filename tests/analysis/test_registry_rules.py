@@ -17,7 +17,7 @@ def run(source, path="src/repro/example.py", **kwargs):
 
 
 class TestREG001EncoderContract:
-    def test_violating_missing_batch_overrides(self):
+    def test_violating_missing_batch_kernel(self):
         findings = run(
             """
             from repro.coding.registry import register_encoder
@@ -28,9 +28,22 @@ class TestREG001EncoderContract:
                     return codewords
             """
         )
-        assert codes(findings) == ["REG001", "REG001"]
-        messages = " ".join(f.message for f in findings)
-        assert "encode_line" in messages and "encode_lines" in messages
+        assert codes(findings) == ["REG001"]
+        assert "encode_lines" in findings[0].message
+
+    def test_violating_encode_line_alone_is_not_the_kernel(self):
+        findings = run(
+            """
+            from repro.coding.registry import register_encoder
+
+            @register_encoder("toy")
+            class ToyEncoder(Encoder):
+                def encode_line(self, words, context):
+                    return words
+            """
+        )
+        assert codes(findings) == ["REG001"]
+        assert "does not override encode_lines" in findings[0].message
 
     def test_violating_signature_drift(self):
         findings = run(
@@ -53,9 +66,6 @@ class TestREG001EncoderContract:
 
             @register_encoder("toy")
             class ToyEncoder(Encoder):
-                def encode_line(self, words, context):
-                    return words
-
                 def encode_lines(self, words_matrix, contexts):
                     return words_matrix
             """

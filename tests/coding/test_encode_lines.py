@@ -4,9 +4,9 @@ The contract of :meth:`repro.coding.base.Encoder.encode_lines` is that the
 returned codewords, auxiliary values, and costs are *bit-identical* to
 calling :meth:`encode_line` once per line — for every registry encoder,
 both cell technologies, with stuck cells and non-trivial stored auxiliary
-bits in play.  The same holds one layer down for
-:meth:`repro.coding.cost.CostFunction.batch_line_cell_costs` against
-per-line :meth:`line_cell_costs` calls.
+bits in play.  One layer down, every cost's transition tables and the
+:meth:`repro.coding.cost.CostFunction.gather_costs` scores read from them
+must equal the cost's elementwise definition.
 """
 
 import numpy as np
@@ -16,20 +16,19 @@ from repro.coding.base import (
     EncodedWord,
     Encoder,
     LineContext,
-    stack_line_contexts,
 )
 from repro.coding.cost import (
     BitChangeCost,
     CellChangeCost,
-    CostFunction,
     EnergyCost,
+    LexicographicCost,
     OnesCost,
     SawCost,
     energy_then_saw,
     saw_then_energy,
 )
 from repro.coding.registry import available_encoders, make_encoder
-from repro.errors import ConfigurationError, EncodingError
+from repro.errors import EncodingError
 from repro.pcm.cell import CellTechnology
 from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
@@ -160,51 +159,74 @@ ALL_COSTS = [
 ]
 
 
-class TestBatchLineCellCosts:
+_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.float64)
+
+
+def _elementwise_costs(cost, new, old, stuck):
+    """Each builtin cost's definition, cell by cell, on broadcast arrays.
+
+    ``new`` and ``old`` hold MLC cell values; ``stuck`` is a boolean array
+    aligned with ``old``, or None when no fault information is known.
+    """
+    if isinstance(cost, LexicographicCost):
+        return (
+            _elementwise_costs(cost.primary, new, old, stuck) * cost.scale
+            + _elementwise_costs(cost.secondary, new, old, stuck)
+        )
+    if isinstance(cost, OnesCost):
+        return _POPCOUNT[new] + np.zeros(old.shape)
+    if isinstance(cost, BitChangeCost):
+        return _POPCOUNT[new ^ old]
+    if isinstance(cost, CellChangeCost):
+        return (new != old).astype(np.float64)
+    if isinstance(cost, EnergyCost):
+        return cost.mlc_model.lut()[old, new]
+    if isinstance(cost, SawCost):
+        if stuck is None:
+            return np.zeros(np.broadcast(new, old).shape)
+        return ((new != old) & stuck).astype(np.float64)
+    raise AssertionError(f"no elementwise reference for {cost.name}")
+
+
+class TestTransitionTables:
     @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: c.name)
-    @pytest.mark.parametrize("with_stuck", [True, False])
-    def test_matches_per_line_kernel(self, cost, with_stuck):
-        rng = make_rng(11, f"batch-costs-{cost.name}-{with_stuck}")
+    @pytest.mark.parametrize("stuck_lines", ["all", "some", "none"])
+    def test_gather_matches_elementwise_costs(self, cost, stuck_lines):
+        rng = make_rng(11, f"batch-costs-{cost.name}-{stuck_lines}")
         lines, candidates, words, cells = 4, 6, 8, 32
         new_cells = rng.integers(0, 4, size=(lines, candidates, words, cells)).astype(
             np.uint8
         )
+        with_stuck = {"all": [True] * lines, "some": [True, False] * 2, "none": [False] * lines}
         contexts = [
             LineContext(
                 old_cells=rng.integers(0, 4, size=(words, cells)).astype(np.uint8),
-                stuck_mask=(rng.random((words, cells)) < 0.05) if with_stuck else None,
+                stuck_mask=(rng.random((words, cells)) < 0.05) if stuck else None,
                 bits_per_cell=2,
             )
-            for _ in range(lines)
+            for stuck in with_stuck[stuck_lines]
         ]
-        batched = cost.batch_line_cell_costs(new_cells, contexts)
+        batched = cost.gather_costs(cost.transition_tables(contexts), new_cells)
         assert batched.shape == new_cells.shape
+        assert batched.dtype == np.float64
         for index, context in enumerate(contexts):
-            per_line = cost.line_cell_costs(new_cells[index], context)
-            assert np.array_equal(
-                np.asarray(batched[index], dtype=np.float64),
-                np.asarray(per_line, dtype=np.float64),
-            )
+            stuck = None if context.stuck_mask is None else context.stuck_mask[None]
+            expected = _elementwise_costs(cost, new_cells[index], context.old_cells[None], stuck)
+            assert np.array_equal(batched[index], expected)
 
-    def test_non_cellwise_cost_falls_back_to_loop(self):
-        class WeirdCost(CostFunction):
-            """Depends on the whole candidate word: not cellwise."""
-
-            name = "weird"
-
-            def cell_costs_matrix(self, new_cells, context):
-                new = np.asarray(new_cells, dtype=np.float64)
-                return new + new.sum(axis=1, keepdims=True)
-
-        cost = WeirdCost()
-        assert not cost.cellwise
-        assert cost.transition_tables([LineContext.blank()]) is None
-        rng = make_rng(12, "weird-cost")
-        new_cells = rng.integers(0, 4, size=(3, 2, 8, 32)).astype(np.uint8)
-        contexts = [LineContext.blank() for _ in range(3)]
-        batched = cost.batch_line_cell_costs(new_cells, contexts)
-        for index, context in enumerate(contexts):
-            assert np.array_equal(batched[index], cost.line_cell_costs(new_cells[index], context))
+    @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: c.name)
+    def test_word_costs_match_elementwise_costs(self, cost):
+        rng = make_rng(12, f"word-costs-{cost.name}")
+        context = LineContext(
+            old_cells=rng.integers(0, 4, size=(1, 32)).astype(np.uint8),
+            stuck_mask=rng.random((1, 32)) < 0.1,
+            bits_per_cell=2,
+        ).word_context(0)
+        new_cells = rng.integers(0, 4, size=(5, 32)).astype(np.uint8)
+        expected = _elementwise_costs(
+            cost, new_cells, context.old_cells[None], context.stuck_mask[None]
+        )
+        assert np.array_equal(cost.cell_costs_matrix(new_cells, context), expected)
 
     def test_transition_tables_match_elementwise_pipeline(self):
         cost = saw_then_energy(CellTechnology.MLC)
@@ -221,53 +243,25 @@ class TestBatchLineCellCosts:
         assert tables.shape == (2, 8, 32, 4)
         for line, context in enumerate(contexts):
             for value in range(4):
-                plane = np.full((1, 8, 32), value, dtype=np.uint8)
-                expected = cost.line_cell_costs(plane, context)[0]
+                plane = np.full((8, 32), value, dtype=np.uint8)
+                expected = _elementwise_costs(
+                    cost, plane, context.old_cells, context.stuck_mask
+                )
                 assert np.array_equal(tables[line, :, :, value], expected)
 
-    def test_shape_validation(self):
-        cost = OnesCost()
-        with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(np.zeros((2, 8, 32), dtype=np.uint8), [])
-        with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(
-                np.zeros((2, 3, 8, 32), dtype=np.uint8), [LineContext.blank()]
-            )
-
-
-class TestStackAndSplitHelpers:
-    def test_stack_line_contexts_concatenates_words(self):
-        rng = make_rng(14, "stack")
-        contexts = [
-            LineContext(
-                old_cells=rng.integers(0, 4, size=(4, 16)).astype(np.uint8),
-                stuck_mask=rng.random((4, 16)) < 0.1,
-                bits_per_cell=2,
-                old_auxes=rng.integers(0, 8, size=4),
-            )
-            for _ in range(3)
+    def test_slc_tables(self):
+        old = np.array([[0, 1, 0, 1]], dtype=np.uint8)
+        stuck = np.array([[True, True, False, False]])
+        assert BitChangeCost().cell_table(old, None, 1).tolist() == [
+            [[0, 1], [1, 0], [0, 1], [1, 0]]
         ]
-        stacked = stack_line_contexts(contexts)
-        assert stacked.words_per_line == 12
-        assert np.array_equal(
-            stacked.old_cells, np.concatenate([c.old_cells for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.stuck_mask, np.concatenate([c.stuck_mask for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.old_auxes, np.concatenate([c.old_auxes for c in contexts])
-        )
-
-    def test_stack_rejects_mixed_geometry(self):
-        narrow = LineContext.blank(words_per_line=4)
-        wide = LineContext.blank(words_per_line=8)
-        with pytest.raises(ConfigurationError):
-            stack_line_contexts([narrow, wide])
-        with pytest.raises(ConfigurationError):
-            stack_line_contexts([])
-
-    def test_empty_batch_rejected_by_cost_kernel(self):
-        cost = BitChangeCost()
-        with pytest.raises(ConfigurationError):
-            cost.batch_line_cell_costs(np.zeros((0, 3, 8, 32), dtype=np.uint8), [])
+        assert OnesCost().cell_table(old, None, 1).tolist() == [[[0, 1]] * 4]
+        assert SawCost().cell_table(old, stuck, 1).tolist() == [
+            [[0, 1], [1, 0], [0, 0], [0, 0]]
+        ]
+        energy = EnergyCost(CellTechnology.SLC)
+        table = energy.cell_table(old, None, 1)
+        assert table.shape == (1, 4, 2)
+        assert table[0, 0, 0] == table[0, 1, 1] == 0.0
+        assert table[0, 0, 1] == energy.slc_model.set_energy_pj
+        assert table[0, 1, 0] == energy.slc_model.reset_energy_pj

@@ -5,9 +5,9 @@
 mask cells.  On tables that pass :func:`repro.coding.cost.sums_exactly`
 that product must equal the gather-plus-pairwise-sum scorer element for
 element; on tables that fail it, RCC and VCC must take the materialised
-path instead, and ``encode_lines`` must stay bit-identical to
-``encode_line`` either way.  Both paths must report the same
-``encode.candidates`` increments.
+path instead, and ``encode_lines`` must stay bit-identical to the
+word-level ``encode_line_scalar`` either way.  Both paths must report the
+same ``encode.candidates`` increments, whatever the batch shape.
 """
 
 import numpy as np
@@ -185,10 +185,10 @@ def gemm_calls(monkeypatch):
     return calls
 
 
-def _assert_lines_match_per_line(encoder, words, contexts):
+def _assert_lines_match_scalar(encoder, words, contexts):
     batched = encoder.encode_lines(words, contexts)
     for line, context, result in zip(words, contexts, batched):
-        reference = encoder.encode_line(line, context)
+        reference = encoder.encode_line_scalar(line, context)
         assert list(result.codewords) == list(reference.codewords)
         assert list(result.auxes) == list(reference.auxes)
         assert list(result.costs) == list(reference.costs)
@@ -206,7 +206,7 @@ class TestEncoderPaths:
             name, num_cosets=NUM_COSETS, technology=technology, cost_function=make_cost(technology)
         )
         contexts = _contexts(rng, encoder, technology)
-        _assert_lines_match_per_line(encoder, _words(rng), contexts)
+        _assert_lines_match_scalar(encoder, _words(rng), contexts)
         assert gemm_calls == []
 
     @pytest.mark.parametrize("name", ENCODERS)
@@ -220,7 +220,7 @@ class TestEncoderPaths:
             cost_function=saw_then_energy(technology),
         )
         contexts = _contexts(rng, encoder, technology)
-        _assert_lines_match_per_line(encoder, _words(rng), contexts)
+        _assert_lines_match_scalar(encoder, _words(rng), contexts)
         assert len(gemm_calls) == 1
 
 
@@ -267,4 +267,27 @@ class TestCandidateCounter:
         before = counter.value
         for line in range(LINES):
             encoder.encode_lines(words[line: line + 1], contexts[line: line + 1])
+        assert counter.value - before == batched > 0
+
+    @pytest.mark.parametrize(
+        "name", ("rcc", "vcc", "vcc-stored", "fnw", "flipcy", "unencoded")
+    )
+    def test_encode_line_counts_like_encode_lines(self, name):
+        """``encode_line`` is ``encode_lines`` on one line, counter included."""
+        technology = CellTechnology.MLC
+        rng = make_rng(8, f"exact-counter-line-{name}")
+        encoder = make_encoder(
+            name,
+            num_cosets=NUM_COSETS,
+            technology=technology,
+            cost_function=saw_then_energy(technology),
+        )
+        context = _contexts(rng, encoder, technology, lines=1)[0]
+        words = _words(rng, lines=1)[0]
+        counter = obs.counter("encode.candidates")
+        before = counter.value
+        encoder.encode_lines([words], [context])
+        batched = counter.value - before
+        before = counter.value
+        encoder.encode_line(words, context)
         assert counter.value - before == batched > 0
