@@ -28,6 +28,11 @@ bits), so the interface also exposes line-granularity batch paths:
 * :meth:`Encoder.encode_line` is :meth:`Encoder.encode_lines` on one line,
   and :meth:`Encoder.encode_line_scalar` the word-at-a-time reference
   every kernel must match bit for bit;
+* :func:`stack_line_contexts` concatenates per-line contexts into one
+  context covering every word of the batch, and
+  :meth:`LineContext.split_partitions` views each word as sub-blocks;
+  third-party encoders can use them to reduce a multi-line, partitioned
+  problem to one context (the builtins reshape the tables directly);
 * :class:`Encoder.decode_line` is the inverse batch operation.
 
 Costs are evaluated through the :class:`repro.coding.cost.CostFunction`
@@ -68,6 +73,7 @@ __all__ = [
     "EncodedLine",
     "Encoder",
     "WordsMatrix",
+    "stack_line_contexts",
     "words_to_cell_matrix",
     "words_matrix_to_cells",
     "cells_matrix_to_words",
@@ -310,6 +316,31 @@ class LineContext:
             old_aux=int(self.old_auxes[word_index]),
         )
 
+    def split_partitions(self, partitions: int) -> "LineContext":
+        """View each word as ``partitions`` contiguous sub-blocks.
+
+        Returns a context of ``words * partitions`` shorter "words", so a
+        partition-based encoder can score every sub-block candidate of a
+        line through one context.  Auxiliary values do not map onto
+        sub-blocks and are reset to zero.
+        """
+        words, cells = self.old_cells.shape
+        if partitions <= 0 or cells % partitions != 0:
+            raise ConfigurationError(
+                f"cannot split {cells} cells into {partitions} partitions"
+            )
+        sub_cells = cells // partitions
+        stuck = (
+            None
+            if self.stuck_mask is None
+            else self.stuck_mask.reshape(words * partitions, sub_cells)
+        )
+        return LineContext(
+            old_cells=self.old_cells.reshape(words * partitions, sub_cells),
+            stuck_mask=stuck,
+            bits_per_cell=self.bits_per_cell,
+        )
+
     @classmethod
     def blank(
         cls, words_per_line: int = 8, word_bits: int = 64, bits_per_cell: int = 2
@@ -416,6 +447,43 @@ class LineContext:
             bits_per_cell=bits_per_cell,
             old_auxes=np.array([c.old_aux for c in contexts], dtype=np.int64),
         )
+
+
+def stack_line_contexts(contexts: Sequence[LineContext]) -> LineContext:
+    """Concatenate per-line contexts into one context over all their words.
+
+    The stacked context views a batch of ``lines`` cache lines as a single
+    ``lines * words_per_line``-word line, so a per-word independent encoder
+    can score the candidates of many queued writes through one context:
+    word ``w`` of line ``l`` becomes word ``l * words_per_line + w`` of the
+    stacked context, and the per-word results are bit-identical to encoding
+    each line separately.
+    """
+    if not contexts:
+        raise ConfigurationError("at least one line context is required")
+    if len(contexts) == 1:
+        return contexts[0]
+    first = contexts[0]
+    if any(c.bits_per_cell != first.bits_per_cell for c in contexts):
+        raise ConfigurationError("line contexts must share bits_per_cell")
+    if any(c.old_cells.shape != first.old_cells.shape for c in contexts):
+        raise ConfigurationError("line contexts must share the line geometry")
+    stuck = None
+    if any(c.stuck_mask is not None for c in contexts):
+        stuck = np.concatenate(
+            [
+                c.stuck_mask
+                if c.stuck_mask is not None
+                else np.zeros_like(c.old_cells, dtype=bool)
+                for c in contexts
+            ]
+        )
+    return LineContext(
+        old_cells=np.concatenate([c.old_cells for c in contexts]),
+        stuck_mask=stuck,
+        bits_per_cell=first.bits_per_cell,
+        old_auxes=np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
+    )
 
 
 @dataclass(frozen=True)
@@ -678,8 +746,26 @@ class Encoder(abc.ABC):
             )
         return rows
 
-    def _check_lines_batch(self, values: np.ndarray, contexts: Sequence[LineContext]) -> None:
-        """Validate a uint64 ``(lines, words)`` batch against its contexts."""
+    def _line_batch_values(
+        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
+    ) -> np.ndarray:
+        """Validate a multi-line word matrix; return it as a uint64 array.
+
+        Every builtin ``encode_lines`` kernel reads its words through this
+        helper.  Python ints and signed arrays are range-checked before the
+        uint64 conversion, which would otherwise overflow or silently wrap
+        negative and over-wide words.
+        """
+        if isinstance(words_matrix, np.ndarray) and words_matrix.dtype.kind in "ui":
+            if words_matrix.dtype.kind == "i" and bool((words_matrix < 0).any()):
+                bad = int(words_matrix[words_matrix < 0].flat[0])
+                raise EncodingError(f"data word {bad} does not fit in {self.word_bits} bits")
+            values = np.asarray(words_matrix, dtype=np.uint64)
+        else:
+            raw = np.asarray(words_matrix, dtype=object)
+            for word in raw.flat if raw.ndim == 2 else ():
+                self._check_data(int(word))
+            values = raw.astype(np.uint64) if raw.ndim == 2 else raw
         if values.ndim != 2 or values.size == 0:
             raise EncodingError(
                 "encode_lines expects a non-empty (lines, words_per_line) word matrix"
@@ -695,6 +781,7 @@ class Encoder(abc.ABC):
             )
         for context in contexts:
             self._check_line_context(context, values.shape[1])
+        return values
 
     def _select_best(self, candidates, auxes, context: WordContext) -> EncodedWord:
         """Pick the lowest-cost candidate from parallel candidate/aux lists."""
@@ -723,6 +810,7 @@ class Encoder(abc.ABC):
         candidates: np.ndarray,
         auxes: np.ndarray,
         contexts: Sequence[LineContext],
+        tables: np.ndarray,
         cells: Optional[np.ndarray] = None,
     ) -> List[EncodedLine]:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
@@ -740,6 +828,9 @@ class Encoder(abc.ABC):
             ``(num_candidates,)`` auxiliary values shared by all words.
         contexts:
             One line context per line; ``old_auxes`` is charged per word.
+        tables:
+            ``cost_function.transition_tables(contexts)``, built once by
+            the caller.
         cells:
             Optional precomputed ``(lines, num_candidates, words, cells)``
             candidate cell values.
@@ -755,7 +846,6 @@ class Encoder(abc.ABC):
             raise EncodingError("aux values must align with the candidate axis")
         if cells is None:
             cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
-        tables = self.cost_function.transition_tables(contexts)
         data_costs = self.cost_function.gather_costs(tables, cells).sum(axis=3)
         _OBS_CANDIDATES.inc(lines * num_candidates)
         old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])

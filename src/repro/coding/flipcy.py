@@ -74,8 +74,7 @@ class FlipcyEncoder(Encoder):
     ) -> List[EncodedLine]:
         if self.word_bits > 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._line_batch_values(words_matrix, contexts)
         mask = np.uint64(self._mask)
         # The three storable forms, stacked along the candidate axis.
         candidates = np.stack(
@@ -84,7 +83,8 @@ class FlipcyEncoder(Encoder):
         auxes = np.array(
             [_FORM_IDENTITY, _FORM_ONES_COMPLEMENT, _FORM_TWOS_COMPLEMENT], dtype=np.int64
         )
-        return self._select_best_lines(candidates, auxes, contexts)
+        tables = self.cost_function.transition_tables(contexts)
+        return self._select_best_lines(candidates, auxes, contexts, tables)
 
     def decode(self, codeword: int, aux: int) -> int:
         if aux == _FORM_IDENTITY:

@@ -126,8 +126,7 @@ class FNWEncoder(Encoder):
         # configurations use the reference loop.
         if self.word_bits > 64 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._line_batch_values(words_matrix, contexts)
         lines, num_words = values.shape
         p = self.partitions
         sub_mask = np.uint64(self._sub_mask)

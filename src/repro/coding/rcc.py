@@ -125,8 +125,7 @@ class RCCEncoder(Encoder):
     ) -> List[EncodedLine]:
         if self._coset_array is None:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._line_batch_values(words_matrix, contexts)
         lines, words = values.shape
         total_words = lines * words
         flat = values.reshape(total_words)
@@ -146,7 +145,7 @@ class RCCEncoder(Encoder):
                 ^ self._coset_cells[None, :, None, :]
             )
             return self._select_best_lines(
-                candidates, auxes, contexts, cells=candidate_cells
+                candidates, auxes, contexts, tables, cells=candidate_cells
             )
         # Exact path: every coset of every word is one GEMM against the
         # coset one-hot, with sums bit-identical to the gather's.

@@ -67,8 +67,7 @@ class UnencodedEncoder(Encoder):
     ) -> List[EncodedLine]:
         if self.word_bits > 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._line_batch_values(words_matrix, contexts)
         lines, words = values.shape
         # One one-candidate gather reports the cost of storing every line
         # unchanged; there is nothing to select.

@@ -217,8 +217,7 @@ class VCCEncoder(Encoder):
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = np.asarray(words_matrix, dtype=np.uint64)
-        self._check_lines_batch(values, contexts)
+        values = self._line_batch_values(words_matrix, contexts)
         lines, words_per_line = values.shape
         num_words = lines * words_per_line
         p = config.partitions

@@ -1,8 +1,9 @@
-"""Multi-line batch encoding: encode_lines vs. the per-line reference.
+"""Multi-line batch encoding: encode_lines vs. the word-level reference.
 
 The contract of :meth:`repro.coding.base.Encoder.encode_lines` is that the
 returned codewords, auxiliary values, and costs are *bit-identical* to
-calling :meth:`encode_line` once per line — for every registry encoder,
+calling :meth:`encode_line_scalar` (the loop over the word-level
+:meth:`encode`) once per line — for every registry encoder,
 both cell technologies, with stuck cells and non-trivial stored auxiliary
 bits in play.  One layer down, every cost's transition tables and the
 :meth:`repro.coding.cost.CostFunction.gather_costs` scores read from them
@@ -16,6 +17,7 @@ from repro.coding.base import (
     EncodedWord,
     Encoder,
     LineContext,
+    stack_line_contexts,
 )
 from repro.coding.cost import (
     BitChangeCost,
@@ -28,7 +30,7 @@ from repro.coding.cost import (
     saw_then_energy,
 )
 from repro.coding.registry import available_encoders, make_encoder
-from repro.errors import EncodingError
+from repro.errors import ConfigurationError, EncodingError
 from repro.pcm.cell import CellTechnology
 from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
@@ -68,7 +70,7 @@ class TestEncodeLinesParity:
     @pytest.mark.parametrize("name", available_encoders())
     @pytest.mark.parametrize("technology", [CellTechnology.MLC, CellTechnology.SLC])
     @pytest.mark.parametrize("cost", ["saw-then-energy", "energy-then-saw"])
-    def test_matches_per_line_encode_line(self, name, technology, cost):
+    def test_matches_per_line_scalar_reference(self, name, technology, cost):
         from repro.sim.harness import make_cost
 
         rng = make_rng(5, f"encode-lines-{name}-{technology.value}-{cost}")
@@ -84,7 +86,7 @@ class TestEncodeLinesParity:
         batched = encoder.encode_lines(lines, contexts)
         assert len(batched) == LINES
         for line, context, encoded in zip(lines, contexts, batched):
-            reference = encoder.encode_line(line, context)
+            reference = encoder.encode_line_scalar(line, context)
             assert encoded.codewords == reference.codewords
             assert encoded.auxes == reference.auxes
             assert encoded.aux_bits == reference.aux_bits
@@ -265,3 +267,36 @@ class TestTransitionTables:
         assert table[0, 0, 0] == table[0, 1, 1] == 0.0
         assert table[0, 0, 1] == energy.slc_model.set_energy_pj
         assert table[0, 1, 0] == energy.slc_model.reset_energy_pj
+
+
+class TestStackAndSplitHelpers:
+    def test_stack_line_contexts_concatenates_words(self):
+        rng = make_rng(14, "stack")
+        contexts = [
+            LineContext(
+                old_cells=rng.integers(0, 4, size=(4, 16)).astype(np.uint8),
+                stuck_mask=rng.random((4, 16)) < 0.1,
+                bits_per_cell=2,
+                old_auxes=rng.integers(0, 8, size=4),
+            )
+            for _ in range(3)
+        ]
+        stacked = stack_line_contexts(contexts)
+        assert stacked.words_per_line == 12
+        assert np.array_equal(
+            stacked.old_cells, np.concatenate([c.old_cells for c in contexts])
+        )
+        assert np.array_equal(
+            stacked.stuck_mask, np.concatenate([c.stuck_mask for c in contexts])
+        )
+        assert np.array_equal(
+            stacked.old_auxes, np.concatenate([c.old_auxes for c in contexts])
+        )
+
+    def test_stack_rejects_mixed_geometry(self):
+        narrow = LineContext.blank(words_per_line=4)
+        wide = LineContext.blank(words_per_line=8)
+        with pytest.raises(ConfigurationError):
+            stack_line_contexts([narrow, wide])
+        with pytest.raises(ConfigurationError):
+            stack_line_contexts([])

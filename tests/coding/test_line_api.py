@@ -179,6 +179,33 @@ class TestScalarFallback:
             encoder.decode_line([1, 2], [0])
 
 
+class TestOutOfRangeWords:
+    @pytest.mark.parametrize("name", ALL_ENCODERS)
+    @pytest.mark.parametrize("bad", [-1, 1 << 64], ids=["negative", "too-wide"])
+    def test_encode_line_rejects_64_bit_overflow(self, name, bad):
+        encoder = make_encoder(name, word_bits=64, num_cosets=16)
+        context = LineContext.blank(bits_per_cell=encoder.bits_per_cell)
+        with pytest.raises(EncodingError):
+            encoder.encode_line([bad] + [0] * (WORDS_PER_LINE - 1), context)
+
+    @pytest.mark.parametrize("name", ALL_ENCODERS)
+    def test_encode_lines_rejects_negative_signed_array(self, name):
+        encoder = make_encoder(name, word_bits=64, num_cosets=16)
+        context = LineContext.blank(bits_per_cell=encoder.bits_per_cell)
+        words = np.zeros((1, WORDS_PER_LINE), dtype=np.int64)
+        words[0, 3] = -1
+        with pytest.raises(EncodingError):
+            encoder.encode_lines(words, [context])
+
+    @pytest.mark.parametrize("name", ALL_ENCODERS)
+    def test_encode_line_accepts_full_width_word(self, name):
+        encoder = make_encoder(name, word_bits=64, num_cosets=16)
+        context = LineContext.blank(bits_per_cell=encoder.bits_per_cell)
+        words = [(1 << 64) - 1] * WORDS_PER_LINE
+        encoded = encoder.encode_line(words, context)
+        assert encoder.decode_line(encoded.codewords, encoded.auxes) == words
+
+
 class TestLineContext:
     def test_blank_geometry(self):
         context = LineContext.blank(words_per_line=8, word_bits=64, bits_per_cell=2)
@@ -218,6 +245,15 @@ class TestLineContext:
         for index in range(4):
             assert np.array_equal(line.old_cells[index], contexts[index].old_cells)
             assert line.old_auxes[index] == index
+
+    def test_split_partitions(self, rng):
+        old = rng.integers(0, 4, size=(8, 32)).astype(np.uint8)
+        stuck = rng.random((8, 32)) < 0.1
+        context = LineContext(old_cells=old, stuck_mask=stuck, bits_per_cell=2)
+        split = context.split_partitions(4)
+        assert split.old_cells.shape == (32, 8)
+        assert split.stuck_mask.shape == (32, 8)
+        assert np.array_equal(split.old_cells.reshape(8, 32), old)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigurationError):
