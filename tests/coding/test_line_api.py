@@ -197,14 +197,6 @@ class TestOutOfRangeWords:
         with pytest.raises(EncodingError):
             encoder.encode_lines(words, [context])
 
-    @pytest.mark.parametrize("name", ALL_ENCODERS)
-    def test_encode_line_accepts_full_width_word(self, name):
-        encoder = make_encoder(name, word_bits=64, num_cosets=16)
-        context = LineContext.blank(bits_per_cell=encoder.bits_per_cell)
-        words = [(1 << 64) - 1] * WORDS_PER_LINE
-        encoded = encoder.encode_line(words, context)
-        assert encoder.decode_line(encoded.codewords, encoded.auxes) == words
-
 
 class TestLineContext:
     def test_blank_geometry(self):
