@@ -28,11 +28,6 @@ bits), so the interface also exposes line-granularity batch paths:
 * :meth:`Encoder.encode_line` is :meth:`Encoder.encode_lines` on one line,
   and :meth:`Encoder.encode_line_scalar` the word-at-a-time reference
   every kernel must match bit for bit;
-* :func:`stack_line_contexts` concatenates per-line contexts into one
-  context covering every word of the batch, and
-  :meth:`LineContext.split_partitions` views each word as sub-blocks;
-  third-party encoders can use them to reduce a multi-line, partitioned
-  problem to one context (the builtins reshape the tables directly);
 * :class:`Encoder.decode_line` is the inverse batch operation.
 
 Costs are evaluated through the :class:`repro.coding.cost.CostFunction`
@@ -73,7 +68,6 @@ __all__ = [
     "EncodedLine",
     "Encoder",
     "WordsMatrix",
-    "stack_line_contexts",
     "words_to_cell_matrix",
     "words_matrix_to_cells",
     "cells_matrix_to_words",
@@ -316,31 +310,6 @@ class LineContext:
             old_aux=int(self.old_auxes[word_index]),
         )
 
-    def split_partitions(self, partitions: int) -> "LineContext":
-        """View each word as ``partitions`` contiguous sub-blocks.
-
-        Returns a context of ``words * partitions`` shorter "words", so a
-        partition-based encoder can score every sub-block candidate of a
-        line through one context.  Auxiliary values do not map onto
-        sub-blocks and are reset to zero.
-        """
-        words, cells = self.old_cells.shape
-        if partitions <= 0 or cells % partitions != 0:
-            raise ConfigurationError(
-                f"cannot split {cells} cells into {partitions} partitions"
-            )
-        sub_cells = cells // partitions
-        stuck = (
-            None
-            if self.stuck_mask is None
-            else self.stuck_mask.reshape(words * partitions, sub_cells)
-        )
-        return LineContext(
-            old_cells=self.old_cells.reshape(words * partitions, sub_cells),
-            stuck_mask=stuck,
-            bits_per_cell=self.bits_per_cell,
-        )
-
     @classmethod
     def blank(
         cls, words_per_line: int = 8, word_bits: int = 64, bits_per_cell: int = 2
@@ -447,43 +416,6 @@ class LineContext:
             bits_per_cell=bits_per_cell,
             old_auxes=np.array([c.old_aux for c in contexts], dtype=np.int64),
         )
-
-
-def stack_line_contexts(contexts: Sequence[LineContext]) -> LineContext:
-    """Concatenate per-line contexts into one context over all their words.
-
-    The stacked context views a batch of ``lines`` cache lines as a single
-    ``lines * words_per_line``-word line, so a per-word independent encoder
-    can score the candidates of many queued writes through one context:
-    word ``w`` of line ``l`` becomes word ``l * words_per_line + w`` of the
-    stacked context, and the per-word results are bit-identical to encoding
-    each line separately.
-    """
-    if not contexts:
-        raise ConfigurationError("at least one line context is required")
-    if len(contexts) == 1:
-        return contexts[0]
-    first = contexts[0]
-    if any(c.bits_per_cell != first.bits_per_cell for c in contexts):
-        raise ConfigurationError("line contexts must share bits_per_cell")
-    if any(c.old_cells.shape != first.old_cells.shape for c in contexts):
-        raise ConfigurationError("line contexts must share the line geometry")
-    stuck = None
-    if any(c.stuck_mask is not None for c in contexts):
-        stuck = np.concatenate(
-            [
-                c.stuck_mask
-                if c.stuck_mask is not None
-                else np.zeros_like(c.old_cells, dtype=bool)
-                for c in contexts
-            ]
-        )
-    return LineContext(
-        old_cells=np.concatenate([c.old_cells for c in contexts]),
-        stuck_mask=stuck,
-        bits_per_cell=first.bits_per_cell,
-        old_auxes=np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
-    )
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ Experiments select a model by name through ``TechniqueSpec.fault_model``
 or the ``--fault-model`` CLI flag.
 
 **Runtime face** — :mod:`repro.faults.chaos`: a seeded
-:class:`~repro.faults.chaos.ChaosPlan` injecting worker crashes, shm
-attach failures, slow tasks, and store corruption into the campaign
-executor, used to test the retry / timeout / graceful-degradation
-machinery in :mod:`repro.campaign`.
+:class:`~repro.faults.chaos.ChaosPlan` injecting worker crashes,
+slow tasks, and store corruption into the campaign executor, used to
+test the retry / timeout / graceful-degradation machinery in
+:mod:`repro.campaign`.
 
 Both faces share the determinism contract: every injected fault — in the
 simulated device or in the real process pool — derives from

@@ -4,16 +4,14 @@ A :class:`ChaosPlan` is a small frozen (and picklable — it crosses the
 process boundary into pool workers) description of *which* infrastructure
 failures to inject into a campaign run:
 
-* worker crashes mid-batch (``os._exit`` before a task runs, so no
-  shared-memory segment is ever orphaned),
-* shared-memory attach failures on the coordinator side,
+* worker crashes mid-batch (``os._exit`` before a task runs),
 * artificially slow tasks (to exercise per-task timeouts),
 * store-object corruption after a put (to exercise quarantine + heal).
 
 Every decision is a pure function of ``(plan.seed, site label)`` via
 :func:`repro.utils.rng.derive_seed`, so a chaos run is exactly
 reproducible: the same plan injects the same failures into the same
-batches regardless of worker count or scheduling order.  Crash and shm
+batches regardless of worker count or scheduling order.  Crash
 decisions are keyed by ``(batch_index, attempt)`` and only fire while
 ``attempt < crash_attempts`` — retries past that attempt see a healthy
 system, which is what lets the determinism tests demand bit-identical
@@ -49,9 +47,6 @@ class ChaosPlan:
         batch can die on its first attempt only, so one retry always
         recovers; raise it above the executor's retry budget to test
         exhaustion and graceful degradation.
-    shm_fail_rate:
-        Probability that attaching a batch's shared-memory result segment
-        fails on the coordinator side (also gated by ``crash_attempts``).
     slow_rate:
         Probability that a given task sleeps for ``slow_s`` before
         computing (exercises per-task timeouts).
@@ -65,14 +60,12 @@ class ChaosPlan:
     seed: int
     crash_rate: float = 0.25
     crash_attempts: int = 1
-    shm_fail_rate: float = 0.0
     slow_rate: float = 0.0
     slow_s: float = 0.05
     corrupt_rate: float = 0.0
 
     def __post_init__(self) -> None:
         require_in_range(self.crash_rate, 0.0, 1.0, "crash_rate")
-        require_in_range(self.shm_fail_rate, 0.0, 1.0, "shm_fail_rate")
         require_in_range(self.slow_rate, 0.0, 1.0, "slow_rate")
         require_in_range(self.corrupt_rate, 0.0, 1.0, "corrupt_rate")
         require(self.crash_attempts >= 0, "crash_attempts must be non-negative")
@@ -103,12 +96,6 @@ class ChaosPlan:
             return 0
         rng = make_rng(derive_seed(self.seed, f"crash-pos:{batch_index}:{attempt}"), "chaos")
         return int(rng.integers(1, batch_size))
-
-    def should_fail_shm(self, batch_index: int, attempt: int) -> bool:
-        """Should attaching this batch's shm result segment fail?"""
-        if attempt >= self.crash_attempts:
-            return False
-        return self._coin(f"shm:{batch_index}:{attempt}", self.shm_fail_rate)
 
     def slow_delay(self, task_hash: str) -> float:
         """Seconds of injected sleep for this task (0.0 for most tasks)."""

@@ -1,17 +1,18 @@
-"""Batched-executor contracts: determinism, shm hygiene, crash recovery.
+"""Batched-executor contracts: determinism, telemetry, crash recovery.
 
 The determinism matrix drives a real (scaled-down) fig7 sweep through
 every batching shape that matters — size 1 (the old one-round-trip-per
 -task behaviour), an uneven tail, and a single batch larger than the
 task list — under both the ``fork`` and ``spawn`` start methods, and
-checks the rows against the serial oracle bit for bit.  The
-shared-memory tests force the segment transport with a 1-byte threshold
-and assert nothing is left behind in ``/dev/shm`` on either the happy
-path or a simulated worker crash.
+checks the rows against the serial oracle bit for bit.  A bulky-batch
+test sends rows far larger than any real cell's through the pool's
+pickle pipe, and the crash tests check that an aborted run leaves the
+executor and the store usable.
 """
 
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
@@ -64,26 +65,9 @@ def _collect(executor, tasks):
     return results, telemetry
 
 
-def _shm_entries():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux host
-        return set()
-
-
 class TestConfiguration:
-    def test_explicit_zero_max_in_flight_rejected(self):
-        """Regression: ``max_in_flight=0`` used to silently coerce to 4*jobs."""
-        with pytest.raises(ConfigurationError, match="max_in_flight"):
-            ProcessExecutor(2, max_in_flight=0)
-
-    def test_negative_max_in_flight_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_in_flight"):
-            ProcessExecutor(2, max_in_flight=-3)
-
-    def test_none_max_in_flight_defaults_to_four_per_worker(self):
+    def test_max_in_flight_is_four_per_worker(self):
         assert ProcessExecutor(3).max_in_flight == 12
-        assert ProcessExecutor(3, max_in_flight=1).max_in_flight == 1
 
     def test_non_positive_batch_size_rejected(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
@@ -144,14 +128,24 @@ class TestDeterminismMatrix:
         else:
             assert sizes == {len(tasks)}  # one oversized batch
 
-    def test_shared_memory_transport_rows_identical(self):
-        """A 1-byte threshold forces every batch through shared memory."""
-        tasks = _fig7_tasks(4)
-        before = _shm_entries()
-        serial, _ = _collect(SerialExecutor(), tasks)
-        parallel, _ = _collect(ProcessExecutor(2, batch_size=2, shm_threshold=1), tasks)
-        assert parallel == serial
-        assert _shm_entries() - before == set(), "leaked /dev/shm segments"
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
+    def test_bulky_batch_rows_identical(self):
+        """Batches far larger than any real cell's still ride the pickle pipe."""
+
+        @register_task("test-batch-bulky-cell")
+        def _cell(params):
+            return [{"index": params["index"], "blob": f"{params['index']:x}" * 40000}]
+
+        tasks = [Task(kind="test-batch-bulky-cell", params={"index": i}) for i in range(4)]
+        try:
+            serial, _ = _collect(SerialExecutor(), tasks)
+            batch_rows = [serial[task.task_hash] for task in tasks[:2]]
+            assert len(pickle.dumps(batch_rows)) > 64 * 1024
+            executor = ProcessExecutor(2, batch_size=2, start_method="fork")
+            parallel, _ = _collect(executor, tasks)
+            assert parallel == serial
+        finally:
+            unregister_task("test-batch-bulky-cell")
 
     def test_run_campaign_batch_size_knob(self):
         tasks = _fig7_tasks(4)
@@ -198,7 +192,7 @@ class TestTelemetryTiling:
 @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
 class TestCrashRecovery:
     """Satellite regression: a worker crash mid-sweep must leave the
-    pool shut down, the stamp map drained, no stale shm segments, and a
+    pool shut down, the stamp map drained, a reusable executor, and a
     store that resumes cleanly."""
 
     def test_worker_exception_propagates_and_store_resumes(self, tmp_path):
@@ -217,11 +211,9 @@ class TestCrashRecovery:
             grid={"index": list(range(8))},
         )
         store = ResultStore(tmp_path / "store")
-        before = _shm_entries()
         try:
             with pytest.raises(SimulationError, match="worker crash"):
                 run_campaign(spec, store=store, jobs=2, batch_size=1)
-            assert _shm_entries() - before == set(), "crash leaked shm segments"
             persisted = len(store)
             flag.unlink()  # disarm and resume
             resumed = run_campaign(spec, store=store, jobs=2, batch_size=1)
@@ -231,31 +223,28 @@ class TestCrashRecovery:
         finally:
             unregister_task("test-batch-crash-cell")
 
-    def test_crash_with_forced_shm_transport_leaks_nothing(self, tmp_path):
-        """Completed-but-unconsumed shm batches are released on abort."""
+    def test_executor_reusable_after_abort(self):
+        """An aborted run leaves the executor ready for a fresh run."""
 
-        @register_task("test-batch-shm-crash-cell")
+        @register_task("test-batch-abort-cell")
         def _cell(params):
             if params["index"] == 0:
                 raise SimulationError("first batch dies")
-            # bulky rows so sibling batches cross the 1-byte threshold
-            return [{"index": params["index"], "blob": "x" * 2048}]
+            return [{"index": params["index"], "value": params["index"] * 5}]
 
-        tasks = [
-            Task(kind="test-batch-shm-crash-cell", params={"index": i}) for i in range(6)
-        ]
-        before = _shm_entries()
-        executor = ProcessExecutor(2, batch_size=1, shm_threshold=1, start_method="fork")
+        tasks = [Task(kind="test-batch-abort-cell", params={"index": i}) for i in range(6)]
+        executor = ProcessExecutor(2, batch_size=1, start_method="fork")
         try:
             with pytest.raises(SimulationError, match="first batch dies"):
                 executor.run(tasks, lambda task, rows, telemetry: None)
-            assert _shm_entries() - before == set(), "abort path leaked shm segments"
-            # The executor must remain usable for a fresh run.
             survivors = tasks[1:]
             results, _ = _collect(executor, survivors)
-            assert len(results) == len(survivors)
+            assert results == {
+                task.task_hash: [{"index": i, "value": i * 5}]
+                for i, task in enumerate(survivors, start=1)
+            }
         finally:
-            unregister_task("test-batch-shm-crash-cell")
+            unregister_task("test-batch-abort-cell")
 
 
 @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")

@@ -13,12 +13,7 @@ must equal the cost's elementwise definition.
 import numpy as np
 import pytest
 
-from repro.coding.base import (
-    EncodedWord,
-    Encoder,
-    LineContext,
-    stack_line_contexts,
-)
+from repro.coding.base import EncodedWord, Encoder, LineContext
 from repro.coding.cost import (
     BitChangeCost,
     CellChangeCost,
@@ -30,7 +25,7 @@ from repro.coding.cost import (
     saw_then_energy,
 )
 from repro.coding.registry import available_encoders, make_encoder
-from repro.errors import ConfigurationError, EncodingError
+from repro.errors import EncodingError
 from repro.pcm.cell import CellTechnology
 from repro.utils.bitops import random_word
 from repro.utils.rng import make_rng
@@ -267,36 +262,3 @@ class TestTransitionTables:
         assert table[0, 0, 0] == table[0, 1, 1] == 0.0
         assert table[0, 0, 1] == energy.slc_model.set_energy_pj
         assert table[0, 1, 0] == energy.slc_model.reset_energy_pj
-
-
-class TestStackAndSplitHelpers:
-    def test_stack_line_contexts_concatenates_words(self):
-        rng = make_rng(14, "stack")
-        contexts = [
-            LineContext(
-                old_cells=rng.integers(0, 4, size=(4, 16)).astype(np.uint8),
-                stuck_mask=rng.random((4, 16)) < 0.1,
-                bits_per_cell=2,
-                old_auxes=rng.integers(0, 8, size=4),
-            )
-            for _ in range(3)
-        ]
-        stacked = stack_line_contexts(contexts)
-        assert stacked.words_per_line == 12
-        assert np.array_equal(
-            stacked.old_cells, np.concatenate([c.old_cells for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.stuck_mask, np.concatenate([c.stuck_mask for c in contexts])
-        )
-        assert np.array_equal(
-            stacked.old_auxes, np.concatenate([c.old_auxes for c in contexts])
-        )
-
-    def test_stack_rejects_mixed_geometry(self):
-        narrow = LineContext.blank(words_per_line=4)
-        wide = LineContext.blank(words_per_line=8)
-        with pytest.raises(ConfigurationError):
-            stack_line_contexts([narrow, wide])
-        with pytest.raises(ConfigurationError):
-            stack_line_contexts([])

@@ -238,15 +238,6 @@ class TestLineContext:
             assert np.array_equal(line.old_cells[index], contexts[index].old_cells)
             assert line.old_auxes[index] == index
 
-    def test_split_partitions(self, rng):
-        old = rng.integers(0, 4, size=(8, 32)).astype(np.uint8)
-        stuck = rng.random((8, 32)) < 0.1
-        context = LineContext(old_cells=old, stuck_mask=stuck, bits_per_cell=2)
-        split = context.split_partitions(4)
-        assert split.old_cells.shape == (32, 8)
-        assert split.stuck_mask.shape == (32, 8)
-        assert np.array_equal(split.old_cells.reshape(8, 32), old)
-
     def test_bad_shapes_rejected(self):
         with pytest.raises(ConfigurationError):
             LineContext(old_cells=np.zeros(8, dtype=np.uint8))
