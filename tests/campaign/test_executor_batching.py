@@ -69,6 +69,30 @@ class TestConfiguration:
     def test_max_in_flight_is_four_per_worker(self):
         assert ProcessExecutor(3).max_in_flight == 12
 
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="fork start method required")
+    def test_in_flight_batches_reach_but_never_pass_the_bound(self, monkeypatch):
+        import repro.campaign.executor as executor_module
+
+        waited = []
+        real_wait = executor_module.wait
+
+        def counting_wait(futures, **kwargs):
+            waited.append(len(futures))
+            return real_wait(futures, **kwargs)
+
+        @register_task("test-batch-bound-cell")
+        def _cell(params):
+            return [{"index": params["index"]}]
+
+        monkeypatch.setattr(executor_module, "wait", counting_wait)
+        tasks = [Task(kind="test-batch-bound-cell", params={"index": i}) for i in range(10)]
+        try:
+            results, _ = _collect(ProcessExecutor(1, batch_size=1, start_method="fork"), tasks)
+        finally:
+            unregister_task("test-batch-bound-cell")
+        assert results == {task.task_hash: [{"index": i}] for i, task in enumerate(tasks)}
+        assert max(waited) == 4
+
     def test_non_positive_batch_size_rejected(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
             ProcessExecutor(2, batch_size=0)

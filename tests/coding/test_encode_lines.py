@@ -246,6 +246,37 @@ class TestTransitionTables:
                 )
                 assert np.array_equal(tables[line, :, :, value], expected)
 
+    @pytest.mark.parametrize("cost", ALL_COSTS, ids=lambda c: c.name)
+    def test_partition_rows_match_partition_contexts(self, cost):
+        """VCC and FNW reshape a batch's tables to one row per partition.
+
+        Row ``(l * words + w) * p + j`` of the reshaped tables must be the
+        tables of partition ``j`` of word ``w`` of line ``l`` on its own.
+        """
+        rng = make_rng(15, f"partition-rows-{cost.name}")
+        lines, words, cells, p = 2, 8, 32, 4
+        contexts = [
+            LineContext(
+                old_cells=rng.integers(0, 4, size=(words, cells)).astype(np.uint8),
+                stuck_mask=rng.random((words, cells)) < 0.1,
+                bits_per_cell=2,
+            )
+            for _ in range(lines)
+        ]
+        rows = cost.transition_tables(contexts).reshape(lines * words * p, cells // p, -1)
+        width = cells // p
+        for line, context in enumerate(contexts):
+            for word in range(words):
+                for j in range(p):
+                    part = slice(j * width, (j + 1) * width)
+                    alone = LineContext(
+                        old_cells=context.old_cells[word : word + 1, part],
+                        stuck_mask=context.stuck_mask[word : word + 1, part],
+                        bits_per_cell=2,
+                    )
+                    expected = cost.transition_tables([alone])[0, 0]
+                    assert np.array_equal(rows[(line * words + word) * p + j], expected)
+
     def test_slc_tables(self):
         old = np.array([[0, 1, 0, 1]], dtype=np.uint8)
         stuck = np.array([[True, True, False, False]])
