@@ -17,22 +17,39 @@ are available:
   counter-unique) pads at a fraction of the cost.  The downstream encoders
   only care that the ciphertext is unbiased, so this substitution does not
   change any experimental conclusion; it is documented in DESIGN.md.
+
+:meth:`CounterModeEngine._pad_bytes` is the reference derivation of one
+pad.  The batched :meth:`CounterModeEngine.encrypt_lines` derives a whole
+chunk bit-identically: AES through one multi-block cipher call, BLAKE2b
+by copying one pre-keyed hash state per pad block (the key block is
+compressed once per engine, not once per block).
+
+A pad block's counter field is 4 bytes for AES and 8 for BLAKE2b.  A
+write whose counter would not fit raises :class:`CounterOverflowError`
+before any counter is bumped, on the scalar and the batched path alike;
+reusing a pad would break the one-time-pad guarantee.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.crypto.aes import AES128
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.utils.validation import require
 
-__all__ = ["CounterModeEngine", "EncryptedLine"]
+__all__ = ["CounterModeEngine", "CounterOverflowError", "EncryptedLine"]
+
+#: Message layout of one BLAKE2b pad block: address, counter, block index.
+_BLAKE2B_MESSAGE = struct.Struct(">QQI")
+#: Digest bytes of one BLAKE2b pad block.
+_BLAKE2B_BLOCK_BYTES = 32
 
 # Encryption-engine telemetry, bumped per batch/rollback call (the pads
 # counter adds the whole chunk's line count in one increment).
@@ -46,6 +63,10 @@ _OBS_ROLLBACKS = obs.counter(
 _OBS_ROLLED_BACK = obs.counter(
     "crypto.rolled_back_counters", "per-line counter bumps undone by rollbacks"
 )
+
+
+class CounterOverflowError(ReproError):
+    """A line's write counter would overflow its pad block's counter field."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +124,21 @@ class CounterModeEngine:
         self.words_per_line = line_bits // word_bits
         self.fast_pad = fast_pad
         self._counters: Dict[int, int] = {}
+        self._pad_bytes_per_line = line_bits // 8
         if not fast_pad:
             aes_key = (self.key + b"\x00" * 16)[:16]
-            self._aes = AES128(aes_key)
+            self._aes: Optional[AES128] = AES128(aes_key)
+            self._keyed_blake2b = None
+            #: First counter a pad block cannot encode (4-byte field).
+            self.counter_limit = 1 << 32
         else:
             self._aes = None
+            # Hashing continues from a copy of this state, so the key block
+            # is compressed once per engine rather than once per pad block.
+            self._keyed_blake2b = hashlib.blake2b(
+                key=self.key[:64], digest_size=_BLAKE2B_BLOCK_BYTES
+            )
+            self.counter_limit = 1 << 64
 
     # ------------------------------------------------------------- counters
     def counter_for(self, address: int) -> int:
@@ -150,7 +181,19 @@ class CounterModeEngine:
             words.append(int.from_bytes(chunk, "big"))
         return words
 
+    def _check_counter(self, counter: int, address: int) -> None:
+        """Reject a counter the pad block's counter field cannot hold."""
+        if counter >= self.counter_limit:
+            raise CounterOverflowError(
+                f"write counter {counter} of address {address} does not fit the "
+                f"{self.counter_limit.bit_length() - 1}-bit counter field of "
+                f"{'BLAKE2b' if self.fast_pad else 'AES'} pads; "
+                "a wrapped counter would reuse a one-time pad"
+            )
+
     def _pad_bytes(self, address: int, counter: int) -> bytes:
+        """The reference derivation of one line's pad bytes."""
+        self._check_counter(counter, address)
         needed = self.line_bits // 8
         out = bytearray()
         block_index = 0
@@ -208,6 +251,32 @@ class CounterModeEngine:
             cipher.reshape(count, blocks_per_line * block_size)[:, :needed]
         )
 
+    def _blake2b_pad_chunk(self, address_values: List[int], counter_values: List[int]) -> bytes:
+        """Pad bytes for a whole chunk from the pre-keyed BLAKE2b state.
+
+        Each pad block hashes ``address (8B) | counter (8B) | block index
+        (4B)`` (big-endian) under the engine key, the message
+        :meth:`_pad_bytes` feeds ``hashlib.blake2b``.  Continuing from a
+        copy of the keyed state yields the same digest as a fresh keyed
+        hash, so the pads are bit-identical.  Returns the
+        ``lines * line_bits // 8`` pad bytes, line after line.
+        """
+        keyed = self._keyed_blake2b
+        if keyed is None:  # pragma: no cover - callers gate on fast_pad=True
+            raise ConfigurationError("BLAKE2b pad chunking requires fast_pad=True")
+        needed = self._pad_bytes_per_line
+        blocks = range(-(-needed // _BLAKE2B_BLOCK_BYTES))
+        pack = _BLAKE2B_MESSAGE.pack
+        out = bytearray()
+        for address, counter in zip(address_values, counter_values):
+            start = len(out)
+            for block in blocks:
+                state = keyed.copy()
+                state.update(pack(address, counter, block))
+                out += state.digest()
+            del out[start + needed:]
+        return bytes(out)
+
     # -------------------------------------------------------------- encrypt
     def encrypt_line(self, address: int, plaintext_words: List[int]) -> EncryptedLine:
         """Encrypt one cache line, bumping the per-line counter.
@@ -225,6 +294,7 @@ class CounterModeEngine:
             )
         word_mask = (1 << self.word_bits) - 1
         counter = self._counters.get(address, 0) + 1
+        self._check_counter(counter, address)
         self._counters[address] = counter
         pad = self.pad_words(address, counter)
         _OBS_PADS.inc()
@@ -259,40 +329,49 @@ class CounterModeEngine:
         if len(addresses) != matrix.shape[0]:
             raise ConfigurationError("one address per plaintext line is required")
         pad_dtype = np.dtype(f">u{self.word_bits // 8}")
+        address_values = (
+            addresses.tolist() if isinstance(addresses, np.ndarray) else [int(a) for a in addresses]
+        )
+        counter_values = self._next_counters(address_values)
         _OBS_PAD_CHUNKS.inc()
         _OBS_PADS.inc(matrix.shape[0])
-        counters = self._counters
-        count = matrix.shape[0]
-        address_values = np.empty(count, dtype=np.uint64)
-        counter_values = np.empty(count, dtype=np.uint64)
-        for index, address in enumerate(addresses):
-            address = int(address)
-            counter = counters.get(address, 0) + 1
-            counters[address] = counter
-            address_values[index] = address
-            counter_values[index] = counter
         if self.fast_pad:
-            # The keyed-PRF pads come from hashlib, which has no batched
-            # entry point; derivation stays per line.
-            pads = np.empty((count, self.words_per_line), dtype=np.uint64)
-            for index in range(count):
-                pads[index] = np.frombuffer(
-                    self._pad_bytes(int(address_values[index]), int(counter_values[index])),
-                    dtype=pad_dtype,
-                )
+            pad_bytes = np.frombuffer(
+                self._blake2b_pad_chunk(address_values, counter_values), dtype=pad_dtype
+            )
         else:
             # Vectorised counter-block assembly + one multi-block AES
             # call for the whole chunk — bit-identical to the per-line
             # _pad_bytes stream (see _aes_pad_chunk).
-            pads = (
-                self._aes_pad_chunk(address_values, counter_values)
-                .view(pad_dtype)
-                .astype(np.uint64)
-            )
+            pad_bytes = self._aes_pad_chunk(
+                np.array(address_values, dtype=np.uint64),
+                np.array(counter_values, dtype=np.uint64),
+            ).view(pad_dtype)
+        pads = pad_bytes.astype(np.uint64).reshape(matrix.shape)
         cipher = matrix ^ pads
         if self.word_bits < 64:
             cipher &= np.uint64((1 << self.word_bits) - 1)
         return cipher
+
+    def _next_counters(self, address_values: List[int]) -> List[int]:
+        """Bump the counter of every line of a chunk, in order.
+
+        The counters are checked against :attr:`counter_limit` before any
+        is stored, so an overflowing chunk leaves the engine untouched.
+        """
+        counters = self._counters
+        bumped: Dict[int, int] = {}
+        counter_values = []
+        for address in address_values:
+            counter = bumped.get(address) or counters.get(address, 0)
+            counter += 1
+            bumped[address] = counter
+            counter_values.append(counter)
+        if bumped:
+            address, counter = max(bumped.items(), key=lambda item: item[1])
+            self._check_counter(counter, address)
+        counters.update(bumped)
+        return counter_values
 
     def decrypt_line(self, line: EncryptedLine) -> List[int]:
         """Decrypt an :class:`EncryptedLine` back to plaintext words."""

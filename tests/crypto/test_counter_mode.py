@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.counter_mode import CounterModeEngine, EncryptedLine
-from repro.errors import ConfigurationError
+from repro.crypto.counter_mode import CounterModeEngine, CounterOverflowError, EncryptedLine
+from repro.errors import ConfigurationError, ReproError
 
 
 def _line(seed: int = 0, words: int = 8, bits: int = 64):
@@ -137,6 +137,43 @@ class TestBatchedEncryptLines:
             engine.encrypt_lines([0], np.zeros((1, 3), dtype=np.uint64))
         with pytest.raises(ConfigurationError):
             engine.encrypt_lines([0, 1], np.zeros((1, 8), dtype=np.uint64))
+
+
+class TestCounterOverflow:
+    """AES pad blocks hold a 4-byte counter: the write that would need
+    counter 2**32 must fail on both paths instead of reusing the pad of
+    counter 0, and must leave every counter as it was."""
+
+    def _engine_at_last_counter(self, address: int) -> CounterModeEngine:
+        engine = CounterModeEngine(key=b"0123456789abcdef", fast_pad=False)
+        engine._counters[address] = (1 << 32) - 1  # the last counter AES can encode
+        return engine
+
+    def test_scalar_path_raises_before_bumping(self):
+        engine = self._engine_at_last_counter(3)
+        with pytest.raises(CounterOverflowError, match="counter 4294967296"):
+            engine.encrypt_line(3, _line())
+        assert engine.counter_for(3) == (1 << 32) - 1
+        assert issubclass(CounterOverflowError, ReproError)
+
+    def test_chunk_path_raises_before_bumping(self):
+        engine = self._engine_at_last_counter(3)
+        with pytest.raises(CounterOverflowError, match="counter 4294967296"):
+            engine.encrypt_lines([5, 3, 5], np.zeros((3, 8), dtype=np.uint64))
+        assert engine.counter_for(3) == (1 << 32) - 1
+        assert engine.counter_for(5) == 0
+
+    def test_pad_words_rejects_an_unencodable_counter(self):
+        engine = CounterModeEngine(key=b"0123456789abcdef", fast_pad=False)
+        with pytest.raises(CounterOverflowError):
+            engine.pad_words(0, 1 << 32)
+
+    def test_last_encodable_counter_still_encrypts(self):
+        engine = CounterModeEngine(key=b"0123456789abcdef", fast_pad=False)
+        engine._counters[3] = (1 << 32) - 2
+        cipher = engine.encrypt_lines([3], np.zeros((1, 8), dtype=np.uint64))
+        assert [int(w) for w in cipher[0]] == engine.pad_words(3, (1 << 32) - 1)
+        assert engine.pad_words(3, (1 << 32) - 1) != engine.pad_words(3, 0)
 
 
 class TestValidation:
