@@ -692,8 +692,8 @@ class MemoryController:
             return replay._trim(0, False)
 
         reps_needed = -(-total // num_records)
-        addresses = np.tile(trace.addresses_array(), reps_needed)[:total]
-        words = trace.words_array()
+        addresses = np.tile(trace.addresses, reps_needed)[:total]
+        words = trace.words if trace.word_bits <= 64 else None
 
         def plaintext_for(index: int) -> List[int]:
             # Wide/odd word sizes: per-record scalar fallback.

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.traces.spec import BenchmarkProfile, get_profile
-from repro.traces.trace import Trace, WritebackRecord
+from repro.traces.trace import Trace
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -139,8 +138,8 @@ class SyntheticTraceGenerator:
         choice = int(self._rng.integers(0, 4))
         return self._word_for_model(["integer", "float", "pointer", "text"][choice])
 
-    def _trace_words(self, num_writebacks: int) -> List[List[int]]:
-        """The data words of a whole trace, one list per writeback.
+    def _trace_words(self, num_writebacks: int) -> np.ndarray:
+        """The data words of a whole trace, one ``uint64`` row per writeback.
 
         Value models are defined at 64-bit granularity; narrower trace
         words keep the low-order bytes.  ``float``, ``pointer`` and
@@ -169,13 +168,21 @@ class SyntheticTraceGenerator:
             )
         if self.word_bits < 64:
             words &= np.uint64((1 << self.word_bits) - 1)
-        return words.reshape(num_writebacks, self.words_per_line).tolist()
+        return words.reshape(num_writebacks, self.words_per_line)
 
     # ------------------------------------------------------------- generate
     def generate(self, num_writebacks: int) -> Trace:
-        """Produce a trace with ``num_writebacks`` line writebacks."""
+        """Produce a trace with ``num_writebacks`` line writebacks.
+
+        The address and word draws become the trace's columns as drawn.
+        """
         require(num_writebacks >= 0, "num_writebacks must be non-negative")
-        trace = Trace(
+        if num_writebacks == 0:
+            addresses, words = None, None
+        else:
+            addresses = self._draw_addresses(num_writebacks)
+            words = self._trace_words(num_writebacks)
+        return Trace(
             name=self.profile.name,
             line_bits=self.line_bits,
             word_bits=self.word_bits,
@@ -185,13 +192,9 @@ class SyntheticTraceGenerator:
                 "working_set_lines": self.working_set,
                 "seed": self.seed,
             },
+            addresses=addresses,
+            words=words,
         )
-        if num_writebacks == 0:
-            return trace
-        addresses = self._draw_addresses(num_writebacks).tolist()
-        for address, words in zip(addresses, self._trace_words(num_writebacks)):
-            trace.append(WritebackRecord(address=address, words=tuple(words)))
-        return trace
 
 
 def generate_trace(

@@ -1,19 +1,21 @@
 """Trace containers and (de)serialisation.
 
-A trace is an ordered sequence of :class:`WritebackRecord` objects, each a
-dirty cache line evicted from the last-level cache: the line-aligned
-address and the plaintext line contents as fixed-width words.  Traces can
-be saved to and loaded from a compact JSON-lines format so experiments can
-be re-run on identical inputs.
+A trace is an ordered sequence of dirty cache lines evicted from the
+last-level cache, stored as two columns: the line-aligned addresses and
+the plaintext line contents as fixed-width words.  Batch drivers read the
+columns directly; :class:`WritebackRecord` is only the per-write view
+that indexing and iteration return.  Traces can be saved to and loaded
+from a compact JSON-lines format so experiments can be re-run on
+identical inputs.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,72 +47,98 @@ class WritebackRecord:
         object.__setattr__(self, "words", tuple(int(w) for w in self.words))
 
 
-@dataclass
 class Trace:
-    """An ordered sequence of writeback records plus workload metadata."""
+    """An ordered sequence of writebacks, stored column-wise, plus metadata.
 
-    name: str
-    records: List[WritebackRecord] = field(default_factory=list)
-    line_bits: int = 512
-    word_bits: int = 64
-    metadata: dict = field(default_factory=dict)
-    #: Cached array views of the records (see :meth:`addresses_array`).
-    _addresses: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _words: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    Attributes
+    ----------
+    addresses:
+        ``(writes,)`` ``int64`` line addresses, in write order.
+    words:
+        ``(writes, words_per_line)`` plaintext words: ``uint64`` when
+        ``word_bits <= 64``, Python ints in an object array otherwise.
 
-    def __post_init__(self) -> None:
-        if self.line_bits <= 0 or self.word_bits <= 0:
+    The columns come from ``addresses``/``words`` (as the synthetic
+    generator draws them) or from ``records``; both are validated once.
+    :meth:`append` copies the columns, so build long traces from columns.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        records: Optional[Sequence[WritebackRecord]] = None,
+        line_bits: int = 512,
+        word_bits: int = 64,
+        metadata: Optional[Dict[str, Any]] = None,
+        addresses: Optional[np.ndarray] = None,
+        words: Optional[Any] = None,
+    ) -> None:
+        if line_bits <= 0 or word_bits <= 0:
             raise TraceError("line_bits and word_bits must be positive")
-        if self.line_bits % self.word_bits != 0:
+        if line_bits % word_bits != 0:
             raise TraceError("line_bits must be a multiple of word_bits")
+        self.name = name
+        self.line_bits = line_bits
+        self.word_bits = word_bits
+        self.metadata: Dict[str, Any] = {} if metadata is None else metadata
+        if records is not None:
+            if addresses is not None or words is not None:
+                raise TraceError("give a trace either records or address/word columns")
+            addresses = [record.address for record in records]
+            words = [record.words for record in records]
+        self.addresses, self.words = self._columns(
+            [] if addresses is None else addresses, [] if words is None else words
+        )
+
+    def _columns(self, addresses: Any, words: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate and convert address/word columns to the stored dtypes."""
+        count = len(addresses)
+        try:
+            address_column = np.asarray(addresses, dtype=np.int64).reshape(count)
+        except (OverflowError, ValueError) as error:
+            raise TraceError(f"trace addresses must be one int64 per write: {error}") from None
+        if count and int(address_column.min()) < 0:
+            raise TraceError(f"address must be non-negative, got {int(address_column.min())}")
+        dtype = np.uint64 if self.word_bits <= 64 else object
+        raw = words if isinstance(words, np.ndarray) else np.array(words, dtype=object)
+        if raw.size == 0:
+            raw = raw.reshape(0, self.words_per_line)
+        if raw.shape != (count, self.words_per_line):
+            raise TraceError(
+                f"trace words have shape {raw.shape}, expected "
+                f"({count}, {self.words_per_line}) for {self.words_per_line} words per line"
+            )
+        if raw.dtype.kind == "u":
+            column = raw.astype(dtype, copy=False)
+            too_wide = self.word_bits < 64 and bool((column >> np.uint64(self.word_bits)).any())
+        else:
+            limit = 1 << self.word_bits
+            for word in raw.flat:
+                if not 0 <= int(word) < limit:
+                    raise TraceError(f"word {int(word):#x} does not fit in {self.word_bits} bits")
+            column = raw.astype(dtype)
+            too_wide = False
+        if too_wide:
+            raise TraceError(f"trace words do not fit in {self.word_bits} bits")
+        return address_column, column
 
     # ------------------------------------------------------------ protocol
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.addresses)
 
     def __iter__(self) -> Iterator[WritebackRecord]:
-        return iter(self.records)
+        for address, words in zip(self.addresses.tolist(), self.words.tolist()):
+            yield WritebackRecord(address=address, words=tuple(words))
 
     def __getitem__(self, index: int) -> WritebackRecord:
-        return self.records[index]
+        return WritebackRecord(
+            address=int(self.addresses[index]), words=tuple(self.words[index].tolist())
+        )
 
     @property
     def words_per_line(self) -> int:
         """Number of words per cache line."""
         return self.line_bits // self.word_bits
-
-    # ----------------------------------------------------------- array views
-    def addresses_array(self) -> np.ndarray:
-        """All record addresses as an ``int64`` vector (cached).
-
-        Batch drivers (:meth:`repro.memctrl.controller.MemoryController.replay_trace`)
-        read the trace through these array views instead of iterating
-        :class:`WritebackRecord` objects; the cache is invalidated by
-        :meth:`append`.
-        """
-        if self._addresses is None:
-            self._addresses = np.fromiter(
-                (record.address for record in self.records),
-                dtype=np.int64,
-                count=len(self.records),
-            )
-        return self._addresses
-
-    def words_array(self) -> Optional[np.ndarray]:
-        """All record words as a ``(records, words_per_line)`` ``uint64`` matrix.
-
-        Cached like :meth:`addresses_array`.  Returns ``None`` when
-        ``word_bits`` exceeds 64 (such traces keep Python-int words and
-        batch drivers fall back to per-record access).
-        """
-        if self.word_bits > 64:
-            return None
-        if self._words is None:
-            matrix = np.empty((len(self.records), self.words_per_line), dtype=np.uint64)
-            for index, record in enumerate(self.records):
-                matrix[index] = record.words
-            self._words = matrix
-        return self._words
 
     # ------------------------------------------------------------ mutation
     def append(self, record: WritebackRecord) -> None:
@@ -119,25 +147,19 @@ class Trace:
             raise TraceError(
                 f"record has {len(record.words)} words, trace expects {self.words_per_line}"
             )
-        word_limit = 1 << self.word_bits
-        for word in record.words:
-            if word < 0 or word >= word_limit:
-                raise TraceError(f"word {word:#x} does not fit in {self.word_bits} bits")
-        self.records.append(record)
-        self._addresses = None
-        self._words = None
+        addresses, words = self._columns([record.address], [record.words])
+        self.addresses = np.concatenate([self.addresses, addresses])
+        self.words = np.concatenate([self.words, words])
 
     # --------------------------------------------------------------- stats
     def unique_addresses(self) -> int:
         """Number of distinct line addresses touched by the trace."""
-        return len({record.address for record in self.records})
+        return len(np.unique(self.addresses))
 
-    def writes_per_address(self) -> dict:
+    def writes_per_address(self) -> Dict[int, int]:
         """Histogram of writes per line address."""
-        histogram: dict = {}
-        for record in self.records:
-            histogram[record.address] = histogram.get(record.address, 0) + 1
-        return histogram
+        values, counts = np.unique(self.addresses, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
     # ----------------------------------------------------------------- I/O
     def save(self, path: Union[str, Path]) -> None:
@@ -161,12 +183,9 @@ class Trace:
                 "metadata": self.metadata,
             }
             handle.write(json.dumps(header) + "\n")
-            for record in self.records:
+            for address, words in zip(self.addresses.tolist(), self.words.tolist()):
                 handle.write(
-                    json.dumps(
-                        {"a": record.address, "w": [format(w, "x") for w in record.words]}
-                    )
-                    + "\n"
+                    json.dumps({"a": address, "w": [format(w, "x") for w in words]}) + "\n"
                 )
 
     @classmethod
@@ -191,17 +210,12 @@ class Trace:
         if not lines:
             raise TraceError(f"trace file {path} is empty")
         header = json.loads(lines[0])
-        trace = cls(
+        payloads = [json.loads(line) for line in lines[1:]]
+        return cls(
             name=header["name"],
             line_bits=header["line_bits"],
             word_bits=header["word_bits"],
             metadata=header.get("metadata", {}),
+            addresses=[payload["a"] for payload in payloads],
+            words=[[int(w, 16) for w in payload["w"]] for payload in payloads],
         )
-        for line in lines[1:]:
-            payload = json.loads(line)
-            trace.append(
-                WritebackRecord(
-                    address=payload["a"], words=tuple(int(w, 16) for w in payload["w"])
-                )
-            )
-        return trace
