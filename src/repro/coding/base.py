@@ -17,11 +17,15 @@ The memory controller's natural unit is the cache *line* (8 words of 64
 bits), so the interface also exposes line-granularity batch paths:
 
 * :class:`LineContext` stacks the per-word write-time knowledge of a whole
-  line into ``(words, cells)`` matrices plus an auxiliary-bit vector;
+  line into ``(words, cells)`` matrices plus an auxiliary-bit vector, and
+  :class:`LineBatch` stacks the contexts of many lines into ``(lines,
+  words, cells)`` arrays;
 * :meth:`Encoder.encode_lines` encodes a whole chunk of queued writes (one
-  :class:`LineContext` per line) in one call.  It is the one array kernel
-  of every builtin technique, scoring the candidate×word costs of all
-  lines from the cost function's per-cell transition tables
+  :class:`LineBatch`, or one :class:`LineContext` per line, stacked once)
+  in one call and returns an :class:`EncodedBatch` of codeword, auxiliary
+  and cost arrays.  It is the one array kernel of every builtin
+  technique, scoring the candidate×word costs of all lines from the cost
+  function's per-cell transition tables
   (:meth:`repro.coding.cost.CostFunction.transition_tables`).  The base
   implementation is the reference loop over :meth:`Encoder.encode`, so
   third-party encoders keep working unchanged;
@@ -39,8 +43,9 @@ lexicographic combinations of those.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+import functools
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,8 +69,10 @@ _OBS_CANDIDATES = obs.counter(
 __all__ = [
     "WordContext",
     "LineContext",
+    "LineBatch",
     "EncodedWord",
     "EncodedLine",
+    "EncodedBatch",
     "Encoder",
     "WordsMatrix",
     "words_to_cell_matrix",
@@ -76,6 +83,14 @@ __all__ = [
 #: Accepted shapes for a multi-line batch of data words: a
 #: ``(lines, words_per_line)`` integer ndarray or per-line sequences.
 WordsMatrix = Union[np.ndarray, Sequence[Sequence[int]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_shifts(cells: int, bits_per_cell: int) -> np.ndarray:
+    """Right shifts that bring each cell of a word to the low bits, cell 0 first."""
+    shifts = np.arange(cells - 1, -1, -1, dtype=np.uint64) * np.uint64(bits_per_cell)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def words_to_cell_matrix(words: Sequence[int], word_bits: int, bits_per_cell: int) -> np.ndarray:
@@ -89,10 +104,7 @@ def words_to_cell_matrix(words: Sequence[int], word_bits: int, bits_per_cell: in
     mask = (1 << bits_per_cell) - 1
     if word_bits <= 64:
         values = np.fromiter((int(w) for w in words), dtype=np.uint64, count=len(words))
-        shifts = np.array(
-            [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
-        )
-        matrix = (values[:, None] >> shifts[None, :]) & np.uint64(mask)
+        matrix = (values[:, None] >> _cell_shifts(cells, bits_per_cell)) & np.uint64(mask)
         return matrix.astype(np.uint8)
     matrix = np.empty((len(words), cells), dtype=np.uint8)
     for row, word in enumerate(words):
@@ -113,10 +125,7 @@ def words_matrix_to_cells(words: np.ndarray, word_bits: int, bits_per_cell: int)
     mask = (1 << bits_per_cell) - 1
     if word_bits <= 64:
         values = np.asarray(words, dtype=np.uint64)
-        shifts = np.array(
-            [bits_per_cell * (cells - 1 - index) for index in range(cells)], dtype=np.uint64
-        )
-        matrix = (values[..., None] >> shifts) & np.uint64(mask)
+        matrix = (values[..., None] >> _cell_shifts(cells, bits_per_cell)) & np.uint64(mask)
         return matrix.astype(np.uint8)
     values = np.asarray(words, dtype=object)
     out = np.empty(values.shape + (cells,), dtype=np.uint8)
@@ -137,11 +146,7 @@ def cells_matrix_to_words(cells: np.ndarray, bits_per_cell: int) -> List[int]:
     num_cells = matrix.shape[1]
     word_bits = num_cells * bits_per_cell
     if word_bits <= 64:
-        shifts = np.array(
-            [bits_per_cell * (num_cells - 1 - index) for index in range(num_cells)],
-            dtype=np.uint64,
-        )
-        packed = (matrix << shifts).sum(axis=1, dtype=np.uint64)
+        packed = (matrix << _cell_shifts(num_cells, bits_per_cell)).sum(axis=1, dtype=np.uint64)
         return [int(value) for value in packed]
     return [cells_to_word(row, bits_per_cell) for row in matrix]
 
@@ -349,48 +354,6 @@ class LineContext:
         )
 
     @classmethod
-    def from_rows(
-        cls,
-        rows_cells: np.ndarray,
-        words_per_line: int,
-        bits_per_cell: int = 2,
-        stuck_masks: Optional[np.ndarray] = None,
-        old_auxes: Optional[np.ndarray] = None,
-        line_index: int = 0,
-    ) -> "LineContext":
-        """Build the context of one line from batched wave gathers.
-
-        ``rows_cells`` (and the optional ``stuck_masks`` / ``old_auxes``)
-        hold one entry per line of a wave — the result of a single
-        :meth:`repro.pcm.array.PCMArray.read_rows` gather — and
-        ``line_index`` selects the line this context describes.  Like
-        :meth:`repro.pcm.array.PCMArray.write_row_fast`, this is the
-        validation-free core for batch drivers: the gathered arrays already
-        satisfy every ``__post_init__`` invariant (uint8 cell rows, aligned
-        boolean masks, non-negative auxiliary values), so re-checking each
-        line of every wave would only burn the time the batching saves.
-        """
-        row = rows_cells[line_index]
-        context = object.__new__(cls)
-        object.__setattr__(context, "old_cells", row.reshape(words_per_line, -1))
-        object.__setattr__(
-            context,
-            "stuck_mask",
-            None
-            if stuck_masks is None
-            else stuck_masks[line_index].reshape(words_per_line, -1),
-        )
-        object.__setattr__(context, "bits_per_cell", bits_per_cell)
-        object.__setattr__(
-            context,
-            "old_auxes",
-            np.zeros(words_per_line, dtype=np.int64)
-            if old_auxes is None
-            else old_auxes[line_index],
-        )
-        return context
-
-    @classmethod
     def from_contexts(cls, contexts: Sequence[WordContext]) -> "LineContext":
         """Stack per-word contexts (all sharing a geometry) into a line context."""
         if not contexts:
@@ -416,6 +379,144 @@ class LineContext:
             bits_per_cell=bits_per_cell,
             old_auxes=np.array([c.old_aux for c in contexts], dtype=np.int64),
         )
+
+
+def _int_matrix(rows: Any, dtype: type) -> np.ndarray:
+    """``rows`` as a ``dtype`` integer array, or Python ints where they overflow it."""
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except OverflowError:
+        # Words wider than 64 bits, or 64 and more auxiliary bits per word.
+        return np.array([[int(v) for v in row] for row in rows], dtype=object)
+
+
+@dataclass(frozen=True)
+class LineBatch:
+    """Write-time knowledge about a batch of lines, stacked per line.
+
+    The array form of a sequence of :class:`LineContext` objects: what
+    every builtin :meth:`Encoder.encode_lines` kernel reads, and what the
+    memory controller's replay waves gather in one go.
+
+    Attributes
+    ----------
+    old_cells:
+        ``(lines, words, cells_per_word)`` uint8 current cell values.
+    stuck_mask:
+        Optional boolean array aligned with ``old_cells`` (True marks a cell
+        stuck at its old value), or None when no fault information is known
+        for any line.
+    bits_per_cell:
+        1 for SLC, 2 for MLC.
+    old_auxes:
+        ``(lines, words)`` previously stored auxiliary values (``int64``, or
+        Python ints for techniques with 64 or more auxiliary bits per word).
+        Defaults to all zeros.
+
+    ``len(batch)`` is the number of lines; indexing and iteration give
+    the :class:`LineContext` of each line.
+    """
+
+    old_cells: np.ndarray
+    stuck_mask: Optional[np.ndarray] = None
+    bits_per_cell: int = 2
+    old_auxes: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        old = np.asarray(self.old_cells, dtype=np.uint8)
+        if old.ndim != 3:
+            raise ConfigurationError("old_cells must be a (lines, words, cells) array")
+        object.__setattr__(self, "old_cells", old)
+        if self.stuck_mask is not None:
+            mask = np.asarray(self.stuck_mask, dtype=bool)
+            if mask.shape != old.shape:
+                raise ConfigurationError("stuck_mask must match old_cells shape")
+            object.__setattr__(self, "stuck_mask", mask)
+        if self.bits_per_cell not in (1, 2):
+            raise ConfigurationError("bits_per_cell must be 1 (SLC) or 2 (MLC)")
+        if self.old_auxes is None:
+            auxes = np.zeros(old.shape[:2], dtype=np.int64)
+        else:
+            auxes = (
+                self.old_auxes
+                if isinstance(self.old_auxes, np.ndarray) and self.old_auxes.dtype == object
+                else _int_matrix(self.old_auxes, np.int64)
+            )
+            if auxes.shape != old.shape[:2]:
+                raise ConfigurationError("old_auxes must hold one value per word of each line")
+            if auxes.size and int(auxes.min()) < 0:
+                raise ConfigurationError("auxiliary values must be non-negative")
+        object.__setattr__(self, "old_auxes", auxes)
+
+    def __len__(self) -> int:
+        return self.old_cells.shape[0]
+
+    def __getitem__(self, line: int) -> LineContext:
+        return self.line_context(line)
+
+    def __iter__(self):
+        return (self.line_context(line) for line in range(len(self)))
+
+    @property
+    def words_per_line(self) -> int:
+        """Number of words of each line."""
+        return self.old_cells.shape[1]
+
+    @property
+    def word_bits(self) -> int:
+        """Width of each word, in bits."""
+        return self.old_cells.shape[2] * self.bits_per_cell
+
+    def line_context(self, line: int) -> LineContext:
+        """The :class:`LineContext` of one line of the batch."""
+        return LineContext(
+            old_cells=self.old_cells[line],
+            stuck_mask=None if self.stuck_mask is None else self.stuck_mask[line],
+            bits_per_cell=self.bits_per_cell,
+            old_auxes=self.old_auxes[line],
+        )
+
+    @classmethod
+    def from_contexts(cls, contexts: Sequence[LineContext]) -> "LineBatch":
+        """Stack per-line contexts (all sharing a geometry) into a batch."""
+        if not contexts:
+            raise ConfigurationError("at least one line context is required")
+        first = contexts[0]
+        if any(
+            c.bits_per_cell != first.bits_per_cell or c.old_cells.shape != first.old_cells.shape
+            for c in contexts
+        ):
+            raise ConfigurationError("line contexts must share the line geometry")
+        stuck = None
+        if any(c.stuck_mask is not None for c in contexts):
+            stuck = np.stack(
+                [
+                    c.stuck_mask
+                    if c.stuck_mask is not None
+                    else np.zeros_like(c.old_cells, dtype=bool)
+                    for c in contexts
+                ]
+            )
+        auxes = [c.old_auxes for c in contexts]
+        return cls(
+            old_cells=np.stack([c.old_cells for c in contexts]),
+            stuck_mask=stuck,
+            bits_per_cell=first.bits_per_cell,
+            old_auxes=(
+                np.stack(auxes)
+                if all(a.dtype != object for a in auxes)
+                else np.array([[int(v) for v in a] for a in auxes], dtype=object)
+            ),
+        )
+
+    @classmethod
+    def of(cls, contexts: Union["LineBatch", Sequence[LineContext]]) -> "LineBatch":
+        """``contexts`` itself when already a batch, else the stacked contexts."""
+        return contexts if isinstance(contexts, LineBatch) else cls.from_contexts(contexts)
+
+
+#: What :meth:`Encoder.encode_lines` accepts as the per-line write contexts.
+LineContexts = Union[LineBatch, Sequence[LineContext]]
 
 
 @dataclass(frozen=True)
@@ -539,6 +640,80 @@ class EncodedLine:
         )
 
 
+@dataclass(frozen=True)
+class EncodedBatch:
+    """Result of encoding a batch of lines, as arrays.
+
+    Attributes
+    ----------
+    codewords:
+        ``(lines, words)`` values to store in the data cells (``uint64``,
+        or Python ints for words wider than 64 bits).
+    auxes:
+        ``(lines, words)`` auxiliary values (``int64``, or Python ints for
+        64 and more auxiliary bits per word).
+    costs:
+        ``(lines, words)`` float64 cost of each selected candidate under
+        the cost function used at encode time (auxiliary bits included).
+    aux_bits:
+        Number of auxiliary bits per word used by the technique.
+    technique:
+        Name of the encoder that produced the batch.
+
+    ``len(batch)`` is the number of lines; indexing and iteration give
+    the :class:`EncodedLine` of each line.
+    """
+
+    codewords: np.ndarray
+    auxes: np.ndarray
+    costs: np.ndarray
+    aux_bits: int
+    technique: str
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.codewords)
+        if len(shape) != 2 or 0 in shape:
+            raise ConfigurationError("an encoded batch needs a non-empty (lines, words) shape")
+        if np.shape(self.auxes) != shape or np.shape(self.costs) != shape:
+            raise ConfigurationError(
+                "codewords, auxes, and costs must have one entry per word of each line"
+            )
+        if self.aux_bits < 0:
+            raise ConfigurationError("aux_bits must be non-negative")
+        low, high = int(self.auxes.min()), int(self.auxes.max())
+        if low < 0 or high >= (1 << self.aux_bits):
+            bad = low if low < 0 else high
+            raise ConfigurationError(f"aux value {bad} does not fit in {self.aux_bits} bits")
+
+    def __len__(self) -> int:
+        return len(self.codewords)
+
+    def __getitem__(self, line: int) -> EncodedLine:
+        return EncodedLine(
+            codewords=self.codewords[line].tolist(),
+            auxes=self.auxes[line].tolist(),
+            aux_bits=self.aux_bits,
+            costs=self.costs[line].tolist(),
+            technique=self.technique,
+        )
+
+    def __iter__(self):
+        return (self[line] for line in range(len(self)))
+
+    @classmethod
+    def from_lines(cls, lines: Sequence[EncodedLine]) -> "EncodedBatch":
+        """Stack per-line encode results into a batch."""
+        if not lines:
+            raise ConfigurationError("an encoded batch must hold at least one line")
+        return cls(
+            codewords=_int_matrix([line.codewords for line in lines], np.uint64),
+            auxes=_int_matrix([line.auxes for line in lines], np.int64),
+            costs=np.array([line.costs for line in lines], dtype=np.float64),
+            aux_bits=lines[0].aux_bits,
+            technique=lines[0].technique,
+        )
+
+
 class Encoder(abc.ABC):
     """Common interface of every write-encoding technique.
 
@@ -611,14 +786,15 @@ class Encoder(abc.ABC):
 
     # ----------------------------------------------------- multi-line batch
     def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
-        """Encode a chunk of queued line writes, one context per line.
+        self, words_matrix: WordsMatrix, contexts: LineContexts
+    ) -> EncodedBatch:
+        """Encode a chunk of queued line writes in one call.
 
         ``words_matrix`` is a ``(lines, words_per_line)`` matrix of data
         words (an integer ndarray or a sequence of per-line sequences) and
-        ``contexts[l]`` describes the target row of line ``l``.  The base
-        implementation is the reference loop over
+        ``contexts`` describes the target rows: a :class:`LineBatch`, or
+        one :class:`LineContext` per line, which is stacked into a batch
+        once.  The base implementation is the reference loop over
         :meth:`encode_line_scalar`, so any third-party encoder works on the
         multi-line path unchanged; every builtin technique overrides it
         with one vectorised kernel scored from the cost function's
@@ -627,11 +803,14 @@ class Encoder(abc.ABC):
         rely on that contract.
         """
         rows = self._line_batch_rows(words_matrix, contexts)
-        _OBS_FALLBACK_LINES.inc(len(contexts))
-        return [
-            self.encode_line_scalar(words, context)
-            for words, context in zip(rows, contexts)
-        ]
+        batch = self._checked_batch(contexts, len(rows[0]))
+        _OBS_FALLBACK_LINES.inc(len(batch))
+        return EncodedBatch.from_lines(
+            [
+                self.encode_line_scalar(words, batch.line_context(line))
+                for line, words in enumerate(rows)
+            ]
+        )
 
     # ------------------------------------------------------------- helpers
     def _check_data(self, data: int) -> None:
@@ -648,7 +827,9 @@ class Encoder(abc.ABC):
                 f"encoder: {self.word_bits} bits / {self.bits_per_cell} bpc)"
             )
 
-    def _check_line_context(self, context: LineContext, num_words: int) -> None:
+    def _check_line_context(
+        self, context: Union[LineContext, LineBatch], num_words: int
+    ) -> None:
         if context.word_bits != self.word_bits or context.bits_per_cell != self.bits_per_cell:
             raise EncodingError(
                 "line context geometry does not match the encoder "
@@ -662,7 +843,7 @@ class Encoder(abc.ABC):
             )
 
     def _line_batch_rows(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
+        self, words_matrix: WordsMatrix, contexts: LineContexts
     ) -> List[List[int]]:
         """Normalise a multi-line word matrix to per-line Python-int lists."""
         if isinstance(words_matrix, np.ndarray) and words_matrix.ndim != 2:
@@ -678,12 +859,26 @@ class Encoder(abc.ABC):
             )
         return rows
 
-    def _line_batch_values(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> np.ndarray:
-        """Validate a multi-line word matrix; return it as a uint64 array.
+    def _checked_batch(self, contexts: LineContexts, num_words: int) -> LineBatch:
+        """The contexts as one :class:`LineBatch`, checked against the encoder.
 
-        Every builtin ``encode_lines`` kernel reads its words through this
+        A batch is checked once; a sequence of contexts is checked line by
+        line (so a mismatching line is named by its own geometry) and then
+        stacked.
+        """
+        if isinstance(contexts, LineBatch):
+            self._check_line_context(contexts, num_words)
+            return contexts
+        for context in contexts:
+            self._check_line_context(context, num_words)
+        return LineBatch.from_contexts(contexts)
+
+    def _line_batch(
+        self, words_matrix: WordsMatrix, contexts: LineContexts
+    ) -> Tuple[np.ndarray, LineBatch]:
+        """Validate a multi-line batch; return its words as uint64 and its contexts.
+
+        Every builtin ``encode_lines`` kernel reads its inputs through this
         helper.  Python ints and signed arrays are range-checked before the
         uint64 conversion, which would otherwise overflow or silently wrap
         negative and over-wide words.
@@ -711,9 +906,7 @@ class Encoder(abc.ABC):
             raise EncodingError(
                 f"data word {int(bad):#x} does not fit in {self.word_bits} bits"
             )
-        for context in contexts:
-            self._check_line_context(context, values.shape[1])
-        return values
+        return values, self._checked_batch(contexts, values.shape[1])
 
     def _select_best(self, candidates, auxes, context: WordContext) -> EncodedWord:
         """Pick the lowest-cost candidate from parallel candidate/aux lists."""
@@ -741,10 +934,10 @@ class Encoder(abc.ABC):
         self,
         candidates: np.ndarray,
         auxes: np.ndarray,
-        contexts: Sequence[LineContext],
+        batch: LineBatch,
         tables: np.ndarray,
         cells: Optional[np.ndarray] = None,
-    ) -> List[EncodedLine]:
+    ) -> EncodedBatch:
         """Vectorised per-word argmin over a ``(lines, candidates, words)`` batch.
 
         One gather from the cost function's transition tables scores every
@@ -758,11 +951,11 @@ class Encoder(abc.ABC):
             ``(lines, num_candidates, words)`` candidate codeword values.
         auxes:
             ``(num_candidates,)`` auxiliary values shared by all words.
-        contexts:
-            One line context per line; ``old_auxes`` is charged per word.
+        batch:
+            The lines' contexts; ``old_auxes`` is charged per word.
         tables:
-            ``cost_function.transition_tables(contexts)``, built once by
-            the caller.
+            ``cost_function.transition_tables(batch)``, built once by the
+            caller.
         cells:
             Optional precomputed ``(lines, num_candidates, words, cells)``
             candidate cell values.
@@ -780,29 +973,22 @@ class Encoder(abc.ABC):
             cells = words_matrix_to_cells(cand, self.word_bits, self.bits_per_cell)
         data_costs = self.cost_function.gather_costs(tables, cells).sum(axis=3)
         _OBS_CANDIDATES.inc(lines * num_candidates)
-        old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         aux_costs = self.cost_function.aux_costs_matrix(
             np.broadcast_to(aux[:, None], (num_candidates, lines * words)),
-            old_auxes,
+            batch.old_auxes.reshape(lines * words),
             self.aux_bits,
         )
         totals = data_costs + aux_costs.reshape(num_candidates, lines, words).transpose(1, 0, 2)
         best = np.argmin(totals, axis=1)
         line_index = np.arange(lines)[:, None]
         word_index = np.arange(words)[None, :]
-        codeword_rows = cand[line_index, best, word_index].tolist()
-        aux_rows = aux[best].tolist()
-        cost_rows = totals[line_index, best, word_index].tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        return EncodedBatch(
+            codewords=cand[line_index, best, word_index],
+            auxes=aux[best],
+            costs=totals[line_index, best, word_index],
+            aux_bits=self.aux_bits,
+            technique=self.name,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -19,9 +19,10 @@ per-cell transition table, :meth:`CostFunction.cell_table`: entry ``[...,
 c, v]`` is the cost of writing value ``v`` to cell ``c``.  The base class
 derives every scorer from it:
 
-* :meth:`CostFunction.transition_tables` builds the table rows of the few
-  possible (old value, stuck) cell states once and gathers them for every
-  cell of a batch of line contexts;
+* :meth:`CostFunction.state_table` builds the table rows of the few
+  possible (old value, stuck) cell states once per cost instance, and
+  :meth:`CostFunction.transition_tables` gathers them for every cell of a
+  :class:`~repro.coding.base.LineBatch`;
 * :meth:`CostFunction.gather_costs` scores materialised candidate cells
   with one gather from those tables;
 * :meth:`CostFunction.cell_costs_matrix` (and the ``cell_costs`` /
@@ -33,16 +34,19 @@ VCC kernels) go one step further with :func:`xor_candidate_costs`: when
 the table entries are small integers (:func:`sums_exactly`, true of every
 builtin cost) a candidate's cost is a 0/1 dot product, so all candidates
 are scored by one matrix product with results bit-identical to the gather.
+Every table entry is one of the state rows, so
+:meth:`CostFunction.sums_exactly` decides this once per cost instance on
+those rows rather than once per batch on the gathered tables.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.coding.base import LineContext, WordContext
+from repro.coding.base import LineBatch, LineContexts, WordContext
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
 from repro.pcm.energy import MLCEnergyModel, SLCEnergyModel, DEFAULT_MLC_ENERGY, DEFAULT_SLC_ENERGY
@@ -58,6 +62,7 @@ __all__ = [
     "LexicographicCost",
     "saw_then_energy",
     "energy_then_saw",
+    "cell_states",
     "sums_exactly",
     "xor_candidate_costs",
     "xor_one_hot",
@@ -70,6 +75,18 @@ _CELL_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.float64)
 def _levels(bits_per_cell: int) -> np.ndarray:
     """The cell values ``0 .. 2**bits_per_cell - 1``, for table broadcasts."""
     return np.arange(1 << bits_per_cell, dtype=np.uint8)
+
+
+def cell_states(batch: LineBatch) -> np.ndarray:
+    """Each cell's row index into :meth:`CostFunction.state_table`.
+
+    ``old | stuck << bits_per_cell`` as a uint8 array shaped like
+    ``batch.old_cells``; cells of a batch without a stuck mask are not
+    stuck.
+    """
+    if batch.stuck_mask is None:
+        return batch.old_cells
+    return batch.old_cells | (batch.stuck_mask.view(np.uint8) << batch.bits_per_cell)
 
 
 def sums_exactly(tables: np.ndarray, cells: int) -> bool:
@@ -164,6 +181,9 @@ class CostFunction(abc.ABC):
     #: Short name used in result tables.
     name: str = "cost"
 
+    #: State rows (and their exactness) per bits_per_cell, built on first use.
+    _state_tables: Optional[Dict[int, Tuple[np.ndarray, bool]]] = None
+
     @abc.abstractmethod
     def cell_table(
         self, old_cells: np.ndarray, stuck_mask: Optional[np.ndarray], bits_per_cell: int
@@ -193,31 +213,48 @@ class CostFunction(abc.ABC):
             writing value ``v`` to cell ``c``.
         """
 
-    def transition_tables(self, contexts: Sequence[LineContext]) -> np.ndarray:
+    def state_table(self, bits_per_cell: int) -> np.ndarray:
+        """The ``(2 * levels, levels)`` table rows of every cell state.
+
+        Row ``old | stuck << bits_per_cell`` is the :meth:`cell_table` row
+        of a cell holding ``old`` that is (``stuck == 1``) or is not stuck.
+        A cell's row depends only on that state, so the rows are built once
+        per cost instance and every batch's tables are gathered from them.
+        """
+        return self._state_entry(bits_per_cell)[0]
+
+    def sums_exactly(self, cells: int, bits_per_cell: int) -> bool:
+        """:func:`sums_exactly` for any ``cells`` entries of this cost's tables.
+
+        Decided on the state rows, which hold every entry a gathered table
+        can contain.
+        """
+        rows, integer_entries = self._state_entry(bits_per_cell)
+        return integer_entries and float(np.abs(rows).max()) * cells < 2.0**53
+
+    def _state_entry(self, bits_per_cell: int) -> Tuple[np.ndarray, bool]:
+        if self._state_tables is None:
+            self._state_tables = {}
+        entry = self._state_tables.get(bits_per_cell)
+        if entry is None:
+            levels = 1 << bits_per_cell
+            states = np.arange(2 * levels, dtype=np.uint8)
+            rows = self.cell_table(states % levels, states >= levels, bits_per_cell)
+            rows = np.ascontiguousarray(rows, dtype=np.float64)
+            entry = (rows, bool(np.array_equal(rows, np.trunc(rows))))
+            self._state_tables[bits_per_cell] = entry
+        return entry
+
+    def transition_tables(self, contexts: LineContexts) -> np.ndarray:
         """The ``(lines, words, cells, levels)`` tables of a batch of lines.
 
         Entry ``[l, w, c, v]`` is the cost of writing value ``v`` to cell
-        ``c`` of word ``w`` of line ``l``.
+        ``c`` of word ``w`` of line ``l``.  ``contexts`` is a
+        :class:`~repro.coding.base.LineBatch` or a sequence of line
+        contexts.
         """
-        bits_per_cell = contexts[0].bits_per_cell
-        levels = 1 << bits_per_cell
-        old = np.stack([context.old_cells for context in contexts])
-        if all(context.stuck_mask is None for context in contexts):
-            rows = self.cell_table(np.arange(levels, dtype=np.uint8), None, bits_per_cell)
-            return np.take(rows, old, axis=0)
-        stuck = np.stack(
-            [
-                context.stuck_mask
-                if context.stuck_mask is not None
-                else np.zeros_like(context.old_cells, dtype=bool)
-                for context in contexts
-            ]
-        )
-        # A cell's table row depends only on its (stuck, old) state, so the
-        # rows of the 2 * levels states are built once and gathered.
-        states = np.arange(2 * levels, dtype=np.uint8)
-        rows = self.cell_table(states % levels, states >= levels, bits_per_cell)
-        return np.take(rows, old | (stuck.astype(np.uint8) << bits_per_cell), axis=0)
+        batch = LineBatch.of(contexts)
+        return np.take(self.state_table(batch.bits_per_cell), cell_states(batch), axis=0)
 
     @staticmethod
     def gather_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:

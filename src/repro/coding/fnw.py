@@ -14,16 +14,14 @@ DBI/FNW baseline is driven in the lifetime experiments (Figs. 11/12).
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 from repro.coding.base import (
     _OBS_CANDIDATES,
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineContexts,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
@@ -117,16 +115,14 @@ class FNWEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words_matrix: WordsMatrix, contexts: LineContexts) -> EncodedBatch:
         # One gather from the cost tables scores the direct and inverted
         # form of every partition of every word of every queued write.  The
         # kernel packs codewords and flag vectors into 64-bit lanes; wider
         # configurations use the reference loop.
         if self.word_bits > 64 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = self._line_batch_values(words_matrix, contexts)
+        values, batch = self._line_batch(words_matrix, contexts)
         lines, num_words = values.shape
         p = self.partitions
         sub_mask = np.uint64(self._sub_mask)
@@ -140,7 +136,7 @@ class FNWEncoder(Encoder):
         # The batch views all lines as one stacked line of partitions:
         # partition j of word w of line l is row (l * words_per_line + w) * p
         # + j of the reshaped tables.
-        tables = self.cost_function.transition_tables(contexts).reshape(
+        tables = self.cost_function.transition_tables(batch).reshape(
             1, lines * num_words * p, self.cells_per_partition, -1
         )
         costs = (
@@ -166,22 +162,16 @@ class FNWEncoder(Encoder):
             flags = (flags << 1) | flags_matrix[:, :, j]
         totals += self.cost_function.aux_costs_matrix(
             flags.reshape(1, lines * num_words),
-            np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
+            batch.old_auxes.reshape(lines * num_words),
             self.aux_bits,
         )[0].reshape(lines, num_words)
-        codeword_rows = codewords.tolist()
-        flag_rows = flags.tolist()
-        cost_rows = totals.tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=flag_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        return EncodedBatch(
+            codewords=codewords,
+            auxes=flags,
+            costs=totals,
+            aux_bits=self.aux_bits,
+            technique=self.name,
+        )
 
     # ---------------------------------------------------------------- decode
     def decode(self, codeword: int, aux: int) -> int:

@@ -14,28 +14,22 @@ linearly with N (Fig. 6), which is what motivates VCC.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.coding.base import (
     _OBS_CANDIDATES,
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineContexts,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import (
-    BitChangeCost,
-    CostFunction,
-    sums_exactly,
-    xor_candidate_costs,
-    xor_one_hot,
-)
+from repro.coding.cost import BitChangeCost, CostFunction, xor_candidate_costs, xor_one_hot
 from repro.coding.registry import register_encoder
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology
@@ -120,19 +114,17 @@ class RCCEncoder(Encoder):
         auxes = list(range(self.num_cosets))
         return self._select_best(candidates, auxes, context)
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words_matrix: WordsMatrix, contexts: LineContexts) -> EncodedBatch:
         if self._coset_array is None:
             return super().encode_lines(words_matrix, contexts)
-        values = self._line_batch_values(words_matrix, contexts)
+        values, batch = self._line_batch(words_matrix, contexts)
         lines, words = values.shape
         total_words = lines * words
         flat = values.reshape(total_words)
         auxes = np.arange(self.num_cosets, dtype=np.int64)
         data_cells = words_matrix_to_cells(flat, self.word_bits, self.bits_per_cell)
-        tables = self.cost_function.transition_tables(contexts)
-        if not sums_exactly(tables, self.cells_per_word):
+        tables = self.cost_function.transition_tables(batch)
+        if not self.cost_function.sums_exactly(self.cells_per_word, self.bits_per_cell):
             # Tables whose sums float64 may round: materialise every
             # candidate cell and gather its cost from the tables.
             candidates = (
@@ -145,7 +137,7 @@ class RCCEncoder(Encoder):
                 ^ self._coset_cells[None, :, None, :]
             )
             return self._select_best_lines(
-                candidates, auxes, contexts, tables, cells=candidate_cells
+                candidates, auxes, batch, tables, cells=candidate_cells
             )
         # Exact path: every coset of every word is one GEMM against the
         # coset one-hot, with sums bit-identical to the gather's.
@@ -163,28 +155,19 @@ class RCCEncoder(Encoder):
         # saves transposing into _select_best_lines): totals, the argmin,
         # and the tie-breaking order are element-for-element those of
         # _select_best_lines, and only the winning candidates are built.
-        old_auxes = np.concatenate([np.asarray(c.old_auxes) for c in contexts])
         totals += self.cost_function.aux_costs_matrix(
             np.broadcast_to(auxes[:, None], (self.num_cosets, total_words)),
-            old_auxes,
+            batch.old_auxes.reshape(total_words),
             self.aux_bits,
         ).T
         best = np.argmin(totals, axis=1)
-        codeword_rows = (flat ^ self._coset_array[best]).reshape(lines, words).tolist()
-        aux_rows = best.reshape(lines, words).tolist()
-        cost_rows = (
-            totals[np.arange(total_words), best].reshape(lines, words).tolist()
+        return EncodedBatch(
+            codewords=(flat ^ self._coset_array[best]).reshape(lines, words),
+            auxes=best.reshape(lines, words),
+            costs=np.take_along_axis(totals, best[:, None], axis=1).reshape(lines, words),
+            aux_bits=self.aux_bits,
+            technique=self.name,
         )
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
 
     def decode(self, codeword: int, aux: int) -> int:
         if not 0 <= aux < self.num_cosets:

@@ -8,10 +8,10 @@ import numpy as np
 
 from repro.coding.base import (
     _OBS_CANDIDATES,
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineContexts,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
@@ -62,31 +62,26 @@ class UnencodedEncoder(Encoder):
             codeword=data, aux=0, aux_bits=0, cost=float(cost), technique=self.name
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words_matrix: WordsMatrix, contexts: LineContexts) -> EncodedBatch:
         if self.word_bits > 64:
             return super().encode_lines(words_matrix, contexts)
-        values = self._line_batch_values(words_matrix, contexts)
+        values, batch = self._line_batch(words_matrix, contexts)
         lines, words = values.shape
         # One one-candidate gather reports the cost of storing every line
         # unchanged; there is nothing to select.
         cells = words_matrix_to_cells(
             values.reshape(lines, 1, words), self.word_bits, self.bits_per_cell
         )
-        tables = self.cost_function.transition_tables(contexts)
+        tables = self.cost_function.transition_tables(batch)
         costs = self.cost_function.gather_costs(tables, cells)[:, 0].sum(axis=2)
         _OBS_CANDIDATES.inc(lines)
-        return [
-            EncodedLine(
-                codewords=tuple(int(w) for w in values[line]),
-                auxes=(0,) * words,
-                aux_bits=0,
-                costs=tuple(float(c) for c in costs[line]),
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        return EncodedBatch(
+            codewords=values,
+            auxes=np.zeros((lines, words), dtype=np.int64),
+            costs=costs,
+            aux_bits=0,
+            technique=self.name,
+        )
 
     def decode(self, codeword: int, aux: int) -> int:
         del aux

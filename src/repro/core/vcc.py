@@ -20,28 +20,22 @@ Two operating modes are supported (see :class:`repro.core.config.VCCConfig`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.coding.base import (
     _OBS_CANDIDATES,
-    EncodedLine,
+    EncodedBatch,
     EncodedWord,
     Encoder,
-    LineContext,
+    LineContexts,
     WordContext,
     WordsMatrix,
     words_matrix_to_cells,
     words_to_cell_matrix,
 )
-from repro.coding.cost import (
-    BitChangeCost,
-    CostFunction,
-    sums_exactly,
-    xor_candidate_costs,
-    xor_one_hot,
-)
+from repro.coding.cost import BitChangeCost, CostFunction, xor_candidate_costs, xor_one_hot
 from repro.coding.registry import register_encoder
 from repro.core.config import EncodeRegion, VCCConfig
 from repro.core.kernels import GeneratedKernelProvider, KernelProvider, StoredKernelProvider
@@ -198,9 +192,7 @@ class VCCEncoder(Encoder):
             technique=self.name,
         )
 
-    def encode_lines(
-        self, words_matrix: WordsMatrix, contexts: Sequence[LineContext]
-    ) -> List[EncodedLine]:
+    def encode_lines(self, words_matrix: WordsMatrix, contexts: LineContexts) -> EncodedBatch:
         """Encode a whole chunk of queued writes in one vectorised pass.
 
         VCC selects candidates per word, so the multi-line batch reduces to
@@ -217,7 +209,7 @@ class VCCEncoder(Encoder):
         config = self.config
         if config.word_bits > 64 or config.kernel_bits > 63 or self.aux_bits >= 64:
             return super().encode_lines(words_matrix, contexts)
-        values = self._line_batch_values(words_matrix, contexts)
+        values, batch = self._line_batch(words_matrix, contexts)
         lines, words_per_line = values.shape
         num_words = lines * words_per_line
         p = config.partitions
@@ -247,7 +239,7 @@ class VCCEncoder(Encoder):
         # The batch views all lines as one stacked line: word w of line l is
         # stacked word l * words_per_line + w, and partition j of stacked
         # word w is row w * p + j of the reshaped tables.
-        tables = self.cost_function.transition_tables(contexts).reshape(
+        tables = self.cost_function.transition_tables(batch).reshape(
             num_words * p, cells_per_partition, -1
         )
         # Candidate cells are the data cells XOR the kernel (or complement)
@@ -259,7 +251,7 @@ class VCCEncoder(Encoder):
             masks, one_hot = self._rom_masks, self._rom_one_hot
         else:
             masks, one_hot = self._candidate_mask_cells(kernels_matrix), None
-        if sums_exactly(tables, self.cells_per_word):
+        if self.cost_function.sums_exactly(self.cells_per_word, self.bits_per_cell):
             # Exact path: every candidate of every partition is one GEMM
             # (stored kernels) or one small matmul per word (generated
             # kernels), with sums bit-identical to the materialised path.
@@ -298,9 +290,7 @@ class VCCEncoder(Encoder):
             flags = (flags << 1) | flags_matrix[:, :, j]
         aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
         aux_costs = self.cost_function.aux_costs_matrix(
-            aux_values,
-            np.concatenate([np.asarray(c.old_auxes) for c in contexts]),
-            self.aux_bits,
+            aux_values, batch.old_auxes.reshape(num_words), self.aux_bits
         )
         totals = data_costs + aux_costs
         best_kernel = np.argmin(totals, axis=0)
@@ -324,19 +314,13 @@ class VCCEncoder(Encoder):
         else:
             codewords = region
 
-        codeword_rows = codewords.reshape(lines, words_per_line).tolist()
-        aux_rows = aux_values[best_kernel, word_index].reshape(lines, words_per_line).tolist()
-        cost_rows = totals[best_kernel, word_index].reshape(lines, words_per_line).tolist()
-        return [
-            EncodedLine(
-                codewords=codeword_rows[line],
-                auxes=aux_rows[line],
-                aux_bits=self.aux_bits,
-                costs=cost_rows[line],
-                technique=self.name,
-            )
-            for line in range(lines)
-        ]
+        return EncodedBatch(
+            codewords=codewords.reshape(lines, words_per_line),
+            auxes=aux_values[best_kernel, word_index].reshape(lines, words_per_line),
+            costs=totals[best_kernel, word_index].reshape(lines, words_per_line),
+            aux_bits=self.aux_bits,
+            technique=self.name,
+        )
 
     # --------------------------------------------------------------- decode
     def decode(self, codeword: int, aux: int) -> int:

@@ -44,8 +44,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.coding.base import (
-    EncodedLine,
     Encoder,
+    LineBatch,
     LineContext,
     cells_matrix_to_words,
     words_matrix_to_cells,
@@ -873,24 +873,24 @@ class MemoryController:
                     ).reshape(lines, array.cells_per_row)
                     new_auxes = None
                 else:
-                    old_rows = array.read_rows(rows)
                     stuck_rows = self._stuck_rows(rows)
-                    sensed_rows = self._sensed_rows(old_rows, rows)
-                    contexts = [
-                        LineContext.from_rows(
-                            sensed_rows, words_per_line, bits_per_cell, stuck_rows, old_auxes, line
-                        )
-                        for line in range(lines)
-                    ]
-                    encoded = self.encoder.encode_lines(
-                        encrypted_chunk[local_indices], contexts
+                    batch = LineBatch(
+                        old_cells=self._sensed_rows(array.read_rows(rows), rows).reshape(
+                            lines, words_per_line, -1
+                        ),
+                        stuck_mask=(
+                            None
+                            if stuck_rows is None
+                            else stuck_rows.reshape(lines, words_per_line, -1)
+                        ),
+                        bits_per_cell=bits_per_cell,
+                        old_auxes=old_auxes,
                     )
+                    encoded = self.encoder.encode_lines(encrypted_chunk[local_indices], batch)
                     intended_rows = words_matrix_to_cells(
-                        np.array([line.codewords for line in encoded], dtype=np.uint64),
-                        self.config.word_bits,
-                        bits_per_cell,
+                        encoded.codewords, self.config.word_bits, bits_per_cell
                     ).reshape(lines, array.cells_per_row)
-                    new_auxes = self._wave_aux_values(encoded)
+                    new_auxes = encoded.auxes
 
                 # ---- one apply per wave; rows are distinct, so it commutes.
                 old_rows, stored_rows, _changed, _saw, newly = array.write_rows_fast(
@@ -1012,13 +1012,6 @@ class MemoryController:
             replay.saw_bits_per_word[indices[hit]] = wrong_bits.reshape(
                 len(hit), self.config.words_per_line, -1
             ).sum(axis=2)
-
-    def _wave_aux_values(self, encoded_lines: List[EncodedLine]) -> np.ndarray:
-        """The wave's auxiliary values as a ``(lines, words)`` aux-store block."""
-        rows = [encoded.auxes for encoded in encoded_lines]
-        if self._wide_aux:
-            return np.array(rows, dtype=object)
-        return np.array(rows, dtype=np.int64)
 
     def _flush_aux_energy(
         self,
