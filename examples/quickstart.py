@@ -18,7 +18,6 @@ import numpy as np
 from repro import CellTechnology, MLCEnergyModel, VCCConfig, VCCEncoder, WordContext
 from repro.coding.cost import EnergyCost
 from repro.crypto import CounterModeEngine
-from repro.pcm.array import word_to_cells
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.cache import DEFAULT_CACHE_NAME

@@ -13,8 +13,8 @@
 * :mod:`repro.analysis.rules.parallel_safety` — ``PAR`` (project scope):
   worker-side global mutation, unpicklable executor callables, shared
   module-level RNGs, unsanctioned writes to guarded package state.
-* :mod:`repro.analysis.rules.imports` — ``IMP`` (project scope):
-  module-level import cycles.
+* :mod:`repro.analysis.rules.imports` — ``IMP``: module-level imports
+  the module never uses, and (project scope) module-level import cycles.
 * :mod:`repro.analysis.rules.resilience` — ``RES``: unbounded retry
   loops that bypass the executor's bounded retry/backoff machinery.
 

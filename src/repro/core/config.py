@@ -22,8 +22,7 @@ is ``log2(r) + p = log2(N)`` bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellTechnology

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.ecc.base import CorrectionOutcome, ErrorCorrector
-from repro.errors import ConfigurationError, UncorrectableError
+from repro.errors import ConfigurationError
 
 __all__ = ["ECP", "ECPRowState"]
 

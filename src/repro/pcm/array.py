@@ -21,7 +21,7 @@ intended cell values could not be stored (stuck-at-wrong, SAW).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 

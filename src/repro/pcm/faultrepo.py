@@ -22,7 +22,6 @@ experiments that want to isolate encoder quality from discovery latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np

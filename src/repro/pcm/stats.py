@@ -9,7 +9,7 @@ single dataclass makes result tables uniform across experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.memctrl

@@ -26,7 +26,7 @@ loop the study historically ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -45,7 +45,6 @@ from repro.sim.harness import (
     drive_trace,
 )
 from repro.sim.results import ResultTable
-from repro.traces.spec import list_benchmarks
 from repro.utils.rng import derive_seed
 
 __all__ = [

@@ -9,7 +9,7 @@ per-figure simulators stay small and uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence
 

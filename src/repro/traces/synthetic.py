@@ -23,7 +23,6 @@ destroys (the unencrypted-vs-encrypted comparisons in the motivation).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,8 +6,8 @@ import pytest
 
 from repro.analysis import main
 
-VIOLATING = "import random\n"
-CLEAN = "import math\n\nTOTAL: int = 3\n"
+VIOLATING = "import random\n\nSHUFFLE = random.shuffle\n"
+CLEAN = "import math\n\nTOTAL: float = math.pi\n"
 
 
 @pytest.fixture()
@@ -96,7 +96,7 @@ class TestBaselineFlow:
         out = capsys.readouterr().out
         assert "1 baselined" in out
         # ...but a new violation still fails.
-        violating_file.write_text(VIOLATING + "from random import shuffle\n", "utf-8")
+        violating_file.write_text(VIOLATING + "from random import choice\n\nCHOICE = choice\n", "utf-8")
         assert main([str(violating_file), "--baseline", str(baseline)]) == 1
 
     def test_default_baseline_discovered_in_cwd(self, violating_file, tmp_path, monkeypatch):

@@ -12,7 +12,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 class TestBaselineRoundTrip:
     def test_save_load_partition(self, tmp_path):
-        findings = analyze_source("import random\n", path="src/repro/example.py")
+        findings = analyze_source(
+            "import random\nSHUFFLE = random.shuffle\n", path="src/repro/example.py"
+        )
         assert len(findings) == 1
         baseline = Baseline.from_findings(findings)
         path = tmp_path / "baseline.json"
@@ -23,9 +25,11 @@ class TestBaselineRoundTrip:
         assert baselined == findings
 
     def test_partition_flags_unknown_fingerprints(self, tmp_path):
-        old = analyze_source("import random\n", path="src/repro/example.py")
+        old = analyze_source(
+            "import random\nSHUFFLE = random.shuffle\n", path="src/repro/example.py"
+        )
         fresh = analyze_source(
-            "import random\nfrom random import shuffle\n",
+            "import random\nfrom random import shuffle\nSHUFFLE = random.shuffle or shuffle\n",
             path="src/repro/example.py",
         )
         new, baselined = Baseline.from_findings(old).partition(fresh)

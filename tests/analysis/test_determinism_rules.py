@@ -58,19 +58,20 @@ class TestDET001UnseededNumpy:
 
 class TestDET002StdlibRandom:
     def test_violating_import(self):
-        findings = run("import random\n")
+        findings = run("import random\nSHUFFLE = random.shuffle\n")
         assert codes(findings) == ["DET002"]
 
     def test_violating_from_import(self):
-        findings = run("from random import shuffle\n")
+        findings = run("from random import shuffle\nSHUFFLE = shuffle\n")
         assert codes(findings) == ["DET002"]
 
     def test_clean_unrelated_import(self):
-        assert run("import math\n") == []
+        assert run("import math\nPI = math.pi\n") == []
 
     def test_waived(self):
         findings = run(
             "import random  # repro: allow[DET002] reason=jitter for a benchmark warmup only\n"
+            "SHUFFLE = random.shuffle\n"
         )
         assert findings == []
 

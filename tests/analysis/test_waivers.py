@@ -16,7 +16,7 @@ def run(source, path="src/repro/example.py", **kwargs):
 
 class TestReasonIsMandatory:
     def test_reasonless_waiver_reports_wvr001_and_keeps_finding(self):
-        findings = run("import random  # repro: allow[DET002]\n")
+        findings = run("import random  # repro: allow[DET002]\nSHUFFLE = random.shuffle\n")
         assert sorted(codes(findings)) == ["DET002", "WVR001"]
         wvr = next(f for f in findings if f.rule == "WVR001")
         assert "reason" in wvr.message
@@ -36,6 +36,7 @@ class TestWaiverScope:
     def test_family_waiver_covers_all_codes_in_family(self):
         findings = run(
             "import random  # repro: allow[DET] reason=family-wide waiver in fixture\n"
+            "SHUFFLE = random.shuffle\n"
         )
         assert findings == []
 
@@ -44,7 +45,7 @@ class TestWaiverScope:
             """
             import random  # repro: allow[NUM001] reason=wrong family on purpose
 
-            x = 1
+            x = random.shuffle
             """
         )
         assert codes(findings) == ["DET002"]
@@ -63,6 +64,7 @@ class TestWaiverScope:
             """
             # repro: allow[DET002] reason=standalone comment waiver covers the next code line
             import random
+            SHUFFLE = random.shuffle
             """
         )
         assert findings == []
@@ -73,6 +75,7 @@ class TestWaiverScope:
             import math  # repro: allow[DET002] reason=waiver stranded on the wrong line
 
             import random
+            SHUFFLE = random.shuffle or math.pi
             """
         )
         assert codes(findings) == ["DET002"]
