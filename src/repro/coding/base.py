@@ -413,8 +413,7 @@ class LineBatch:
         Python ints for techniques with 64 or more auxiliary bits per word).
         Defaults to all zeros.
 
-    ``len(batch)`` is the number of lines; indexing and iteration give
-    the :class:`LineContext` of each line.
+    ``len(batch)`` is the number of lines.
     """
 
     old_cells: np.ndarray
@@ -450,12 +449,6 @@ class LineBatch:
 
     def __len__(self) -> int:
         return self.old_cells.shape[0]
-
-    def __getitem__(self, line: int) -> LineContext:
-        return self.line_context(line)
-
-    def __iter__(self):
-        return (self.line_context(line) for line in range(len(self)))
 
     @property
     def words_per_line(self) -> int:

@@ -62,7 +62,6 @@ __all__ = [
     "LexicographicCost",
     "saw_then_energy",
     "energy_then_saw",
-    "cell_states",
     "sums_exactly",
     "xor_candidate_costs",
     "xor_one_hot",
@@ -75,18 +74,6 @@ _CELL_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.float64)
 def _levels(bits_per_cell: int) -> np.ndarray:
     """The cell values ``0 .. 2**bits_per_cell - 1``, for table broadcasts."""
     return np.arange(1 << bits_per_cell, dtype=np.uint8)
-
-
-def cell_states(batch: LineBatch) -> np.ndarray:
-    """Each cell's row index into :meth:`CostFunction.state_table`.
-
-    ``old | stuck << bits_per_cell`` as a uint8 array shaped like
-    ``batch.old_cells``; cells of a batch without a stuck mask are not
-    stuck.
-    """
-    if batch.stuck_mask is None:
-        return batch.old_cells
-    return batch.old_cells | (batch.stuck_mask.view(np.uint8) << batch.bits_per_cell)
 
 
 def sums_exactly(tables: np.ndarray, cells: int) -> bool:
@@ -254,7 +241,12 @@ class CostFunction(abc.ABC):
         contexts.
         """
         batch = LineBatch.of(contexts)
-        return np.take(self.state_table(batch.bits_per_cell), cell_states(batch), axis=0)
+        # Each cell's row is its state ``old | stuck << bits_per_cell``;
+        # the cells of a batch without a stuck mask are not stuck.
+        states = batch.old_cells
+        if batch.stuck_mask is not None:
+            states = states | (batch.stuck_mask.view(np.uint8) << batch.bits_per_cell)
+        return np.take(self.state_table(batch.bits_per_cell), states, axis=0)
 
     @staticmethod
     def gather_costs(tables: np.ndarray, new_cells: np.ndarray) -> np.ndarray:

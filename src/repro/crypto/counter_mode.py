@@ -124,13 +124,12 @@ class CounterModeEngine:
         self.words_per_line = line_bits // word_bits
         self.fast_pad = fast_pad
         self._counters: Dict[int, int] = {}
-        self._pad_bytes_per_line = line_bits // 8
         if not fast_pad:
             aes_key = (self.key + b"\x00" * 16)[:16]
             self._aes: Optional[AES128] = AES128(aes_key)
             self._keyed_blake2b = None
-            #: First counter a pad block cannot encode (4-byte field).
-            self.counter_limit = 1 << 32
+            # First counter a pad block cannot encode (4-byte field).
+            self._counter_limit = 1 << 32
         else:
             self._aes = None
             # Hashing continues from a copy of this state, so the key block
@@ -138,7 +137,7 @@ class CounterModeEngine:
             self._keyed_blake2b = hashlib.blake2b(
                 key=self.key[:64], digest_size=_BLAKE2B_BLOCK_BYTES
             )
-            self.counter_limit = 1 << 64
+            self._counter_limit = 1 << 64
 
     # ------------------------------------------------------------- counters
     def counter_for(self, address: int) -> int:
@@ -183,10 +182,10 @@ class CounterModeEngine:
 
     def _check_counter(self, counter: int, address: int) -> None:
         """Reject a counter the pad block's counter field cannot hold."""
-        if counter >= self.counter_limit:
+        if counter >= self._counter_limit:
             raise CounterOverflowError(
                 f"write counter {counter} of address {address} does not fit the "
-                f"{self.counter_limit.bit_length() - 1}-bit counter field of "
+                f"{self._counter_limit.bit_length() - 1}-bit counter field of "
                 f"{'BLAKE2b' if self.fast_pad else 'AES'} pads; "
                 "a wrapped counter would reuse a one-time pad"
             )
@@ -264,7 +263,7 @@ class CounterModeEngine:
         keyed = self._keyed_blake2b
         if keyed is None:  # pragma: no cover - callers gate on fast_pad=True
             raise ConfigurationError("BLAKE2b pad chunking requires fast_pad=True")
-        needed = self._pad_bytes_per_line
+        needed = self.line_bits // 8
         blocks = range(-(-needed // _BLAKE2B_BLOCK_BYTES))
         pack = _BLAKE2B_MESSAGE.pack
         out = bytearray()
@@ -356,8 +355,8 @@ class CounterModeEngine:
     def _next_counters(self, address_values: List[int]) -> List[int]:
         """Bump the counter of every line of a chunk, in order.
 
-        The counters are checked against :attr:`counter_limit` before any
-        is stored, so an overflowing chunk leaves the engine untouched.
+        The counters are checked against the pad's counter field before
+        any is stored, so an overflowing chunk leaves the engine untouched.
         """
         counters = self._counters
         bumped: Dict[int, int] = {}
