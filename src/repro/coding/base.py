@@ -436,11 +436,7 @@ class LineBatch:
         if self.old_auxes is None:
             auxes = np.zeros(old.shape[:2], dtype=np.int64)
         else:
-            auxes = (
-                self.old_auxes
-                if isinstance(self.old_auxes, np.ndarray) and self.old_auxes.dtype == object
-                else _int_matrix(self.old_auxes, np.int64)
-            )
+            auxes = _int_matrix(self.old_auxes, np.int64)
             if auxes.shape != old.shape[:2]:
                 raise ConfigurationError("old_auxes must hold one value per word of each line")
             if auxes.size and int(auxes.min()) < 0:
@@ -490,16 +486,11 @@ class LineBatch:
                     for c in contexts
                 ]
             )
-        auxes = [c.old_auxes for c in contexts]
         return cls(
             old_cells=np.stack([c.old_cells for c in contexts]),
             stuck_mask=stuck,
             bits_per_cell=first.bits_per_cell,
-            old_auxes=(
-                np.stack(auxes)
-                if all(a.dtype != object for a in auxes)
-                else np.array([[int(v) for v in a] for a in auxes], dtype=object)
-            ),
+            old_auxes=_int_matrix([c.old_auxes for c in contexts], np.int64),
         )
 
     @classmethod
