@@ -250,31 +250,33 @@ class CounterModeEngine:
             cipher.reshape(count, blocks_per_line * block_size)[:, :needed]
         )
 
-    def _blake2b_pad_chunk(self, address_values: List[int], counter_values: List[int]) -> bytes:
+    def _blake2b_pad_chunk(
+        self, address_values: List[int], counter_values: List[int]
+    ) -> np.ndarray:
         """Pad bytes for a whole chunk from the pre-keyed BLAKE2b state.
 
         Each pad block hashes ``address (8B) | counter (8B) | block index
         (4B)`` (big-endian) under the engine key, the message
         :meth:`_pad_bytes` feeds ``hashlib.blake2b``.  Continuing from a
         copy of the keyed state yields the same digest as a fresh keyed
-        hash, so the pads are bit-identical.  Returns the
-        ``lines * line_bits // 8`` pad bytes, line after line.
+        hash, so the pads are bit-identical.  Returns ``(lines, line_bits
+        // 8)`` uint8 pad bytes.
         """
         keyed = self._keyed_blake2b
         if keyed is None:  # pragma: no cover - callers gate on fast_pad=True
             raise ConfigurationError("BLAKE2b pad chunking requires fast_pad=True")
         needed = self.line_bits // 8
         blocks = range(-(-needed // _BLAKE2B_BLOCK_BYTES))
+        copy = keyed.copy
         pack = _BLAKE2B_MESSAGE.pack
-        out = bytearray()
+        digests: List[bytes] = []
         for address, counter in zip(address_values, counter_values):
-            start = len(out)
             for block in blocks:
-                state = keyed.copy()
+                state = copy()
                 state.update(pack(address, counter, block))
-                out += state.digest()
-            del out[start + needed:]
-        return bytes(out)
+                digests.append(state.digest())
+        pads = np.frombuffer(b"".join(digests), dtype=np.uint8)
+        return np.ascontiguousarray(pads.reshape(len(address_values), -1)[:, :needed])
 
     # -------------------------------------------------------------- encrypt
     def encrypt_line(self, address: int, plaintext_words: List[int]) -> EncryptedLine:
@@ -335,9 +337,7 @@ class CounterModeEngine:
         _OBS_PAD_CHUNKS.inc()
         _OBS_PADS.inc(matrix.shape[0])
         if self.fast_pad:
-            pad_bytes = np.frombuffer(
-                self._blake2b_pad_chunk(address_values, counter_values), dtype=pad_dtype
-            )
+            pad_bytes = self._blake2b_pad_chunk(address_values, counter_values)
         else:
             # Vectorised counter-block assembly + one multi-block AES
             # call for the whole chunk — bit-identical to the per-line
@@ -345,8 +345,8 @@ class CounterModeEngine:
             pad_bytes = self._aes_pad_chunk(
                 np.array(address_values, dtype=np.uint64),
                 np.array(counter_values, dtype=np.uint64),
-            ).view(pad_dtype)
-        pads = pad_bytes.astype(np.uint64).reshape(matrix.shape)
+            )
+        pads = pad_bytes.view(pad_dtype).astype(np.uint64)
         cipher = matrix ^ pads
         if self.word_bits < 64:
             cipher &= np.uint64((1 << self.word_bits) - 1)
