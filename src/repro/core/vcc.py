@@ -115,6 +115,11 @@ class VCCEncoder(Encoder):
         self._kernel_shifts = np.arange(
             config.kernel_bits - 1, -1, -1, dtype=np.uint32
         )
+        # Partition j sits ``kernel_bits * (p - 1 - j)`` bits up the encoded
+        # region, and its flag is bit ``p - 1 - j`` of the flag vector.
+        partition_order = np.arange(config.partitions - 1, -1, -1)
+        self._sub_shifts = (partition_order * config.kernel_bits).astype(np.uint64)
+        self._flag_weights = np.left_shift(1, partition_order).astype(np.int64)
         # Stored kernels are the same for every word, so the candidate
         # masks of the exact GEMM path and their one-hot are built once.
         self._rom_masks: Optional[np.ndarray] = None
@@ -229,11 +234,8 @@ class VCCEncoder(Encoder):
         else:
             left_array = None
             region_array = flat
-        sub_shifts = np.array(
-            [config.kernel_bits * (p - 1 - j) for j in range(p)], dtype=np.uint64
-        )
         kernel_mask = np.uint64(self._kernel_mask)
-        subs = (region_array[:, None] >> sub_shifts) & kernel_mask
+        subs = (region_array[:, None] >> self._sub_shifts) & kernel_mask
 
         cells_per_partition = config.cells_per_partition
         # The batch views all lines as one stacked line: word w of line l is
@@ -285,9 +287,7 @@ class VCCEncoder(Encoder):
         per_partition_best = np.where(flags_matrix, xnor_costs, xor_costs)
         data_costs = per_partition_best.sum(axis=2)
 
-        flags = np.zeros((r, num_words), dtype=np.int64)
-        for j in range(p):
-            flags = (flags << 1) | flags_matrix[:, :, j]
+        flags = flags_matrix @ self._flag_weights
         aux_values = (np.arange(r, dtype=np.int64)[:, None] << p) | flags
         aux_costs = self.cost_function.aux_costs_matrix(
             aux_values, batch.old_auxes.reshape(num_words), self.aux_bits
@@ -299,16 +299,10 @@ class VCCEncoder(Encoder):
         # complement, per flag bit) to every partition at once, pack the
         # partitions, and re-interleave the passthrough plane.
         word_index = np.arange(num_words)
-        best_flags = flags[best_kernel, word_index]
         best_kernels = kernels_matrix[word_index, best_kernel]
-        flag_bits = (
-            best_flags[:, None] >> np.arange(p - 1, -1, -1, dtype=np.int64)[None, :]
-        ) & 1
-        masks = best_kernels[:, None] ^ (flag_bits.astype(np.uint64) * kernel_mask)
-        encoded_subs = subs ^ masks
-        region = np.zeros(num_words, dtype=np.uint64)
-        for j in range(p):
-            region |= encoded_subs[:, j] << sub_shifts[j]
+        flag_bits = flags_matrix[best_kernel, word_index]
+        masks = best_kernels[:, None] ^ (flag_bits * kernel_mask)
+        region = np.bitwise_or.reduce((subs ^ masks) << self._sub_shifts, axis=1)
         if config.encode_region is EncodeRegion.RIGHT_PLANE:
             codewords = interleave_planes_array(left_array, region, config.word_bits)
         else:
