@@ -22,17 +22,20 @@ interface so simulators can swap techniques freely.
 Every technique registers itself with the decorator-driven plugin registry
 (:func:`~repro.coding.registry.register_encoder`); simulators and external
 code resolve techniques by short name through
-:func:`~repro.coding.registry.make_encoder`.  The line-granularity batch
-interface (:class:`~repro.coding.base.LineContext`,
-:meth:`~repro.coding.base.Encoder.encode_lines`) is the memory controller's
-hot path; every builtin implements it as one vectorised kernel scored from
-the cost function's per-cell transition tables.
+:func:`~repro.coding.registry.make_encoder`.  The batch interface
+(:meth:`~repro.coding.base.Encoder.encode_lines`, which takes a
+:class:`~repro.coding.base.LineBatch` of stacked line contexts and returns
+an :class:`~repro.coding.base.EncodedBatch` of arrays) is the memory
+controller's hot path; every builtin implements it as one vectorised
+kernel scored from the cost function's per-cell transition tables.
 """
 
 from repro.coding.base import (
+    EncodedBatch,
     EncodedLine,
     EncodedWord,
     Encoder,
+    LineBatch,
     LineContext,
     WordContext,
     cells_matrix_to_words,
@@ -72,6 +75,7 @@ __all__ = [
     "CellChangeCost",
     "CostFunction",
     "DBIEncoder",
+    "EncodedBatch",
     "EncodedLine",
     "EncodedWord",
     "Encoder",
@@ -80,6 +84,7 @@ __all__ = [
     "FNWEncoder",
     "FlipcyEncoder",
     "LexicographicCost",
+    "LineBatch",
     "LineContext",
     "OnesCost",
     "RCCEncoder",

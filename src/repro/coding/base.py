@@ -45,7 +45,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -681,7 +681,7 @@ class EncodedBatch:
             technique=self.technique,
         )
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[EncodedLine]:
         return (self[line] for line in range(len(self)))
 
     @classmethod
