@@ -110,17 +110,14 @@ class Trace:
             )
         if raw.dtype.kind == "u":
             column = raw.astype(dtype, copy=False)
-            too_wide = self.word_bits < 64 and bool((column >> np.uint64(self.word_bits)).any())
-        else:
-            limit = 1 << self.word_bits
-            for word in raw.flat:
-                if not 0 <= int(word) < limit:
-                    raise TraceError(f"word {int(word):#x} does not fit in {self.word_bits} bits")
-            column = raw.astype(dtype)
-            too_wide = False
-        if too_wide:
-            raise TraceError(f"trace words do not fit in {self.word_bits} bits")
-        return address_column, column
+            if self.word_bits < 64 and bool((column >> np.uint64(self.word_bits)).any()):
+                raise TraceError(f"trace words do not fit in {self.word_bits} bits")
+            return address_column, column
+        limit = 1 << self.word_bits
+        for word in raw.flat:
+            if not 0 <= int(word) < limit:
+                raise TraceError(f"word {int(word):#x} does not fit in {self.word_bits} bits")
+        return address_column, raw.astype(dtype)
 
     # ------------------------------------------------------------ protocol
     def __len__(self) -> int:
